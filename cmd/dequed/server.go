@@ -1,15 +1,11 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"net"
-	"sync"
 	"time"
 
 	dq "repro"
-	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -34,38 +30,13 @@ type Config struct {
 	RankBound int
 }
 
-// Server owns a sharded deque pool and serves the wire protocol over TCP.
-// One goroutine per connection; each borrows a PoolHandle from a fixed
-// freelist for the connection's lifetime — handle registration is
-// permanent (each shard admits at most MaxThreads handles, ever), so the
-// freelist is what lets connection churn run forever on a bounded pool.
+// Server owns a sharded deque pool and serves the wire protocol over TCP
+// through the shared connection loop (internal/server): one goroutine
+// per connection, each borrowing a pool handle from a fixed freelist.
 type Server struct {
-	cfg  Config
+	*server.Server[*connHandle]
 	pool *dq.Pool[uint32]
 	rx   *dq.Relaxed[uint32] // non-nil in relaxed mode; pool == rx.Pool()
-
-	// ctx cancels in-flight blocked operations on hard shutdown.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// Handle freelist: acquire prefers a parked handle, registers a new
-	// one while under the cap, and otherwise waits for a connection to
-	// finish. cap(handles) == MaxConns so release never blocks.
-	handles    chan connHandle
-	hmu        sync.Mutex
-	registered int
-
-	// latReg holds per-connection service-time recorders (the "service"
-	// latency class: frame decoded → reply flushed, queueing included).
-	// Deque-level classes live in the shards; LatencySnapshot merges both.
-	latReg obs.LatRegistry
-
-	lnMu sync.Mutex
-	ln   net.Listener
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
 
 // NewServer validates cfg and builds the pool. MaxThreads for every shard
@@ -104,16 +75,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
-		cfg:     cfg,
-		pool:    pool,
-		rx:      rx,
-		ctx:     ctx,
-		cancel:  cancel,
-		handles: make(chan connHandle, cfg.MaxConns),
-		conns:   make(map[net.Conn]struct{}),
-	}, nil
+	s := &Server{pool: pool, rx: rx}
+	s.Server = server.New(cfg.MaxConns, s.register, s.apply, (*connHandle).flush)
+	return s, nil
 }
 
 // Pool exposes the backing pool for the final metrics snapshot and tests.
@@ -126,171 +90,35 @@ func (s *Server) Relaxed() *dq.Relaxed[uint32] { return s.rx }
 // whole service: every shard's per-op classes, the pool-level routing
 // classes, and the server's per-connection service times.
 func (s *Server) LatencySnapshot() *dq.LatSnapshotSet {
-	set := s.latReg.Merge()
+	set := s.ServiceLatency()
 	set.Merge(s.pool.LatencySnapshot())
 	return set
 }
 
 // connHandle is one connection's accessor: the pool handle in strict
 // mode, the relaxed handle when the server fronts the pool with
-// Relaxed[uint32] (exactly one is non-nil).
+// Relaxed[uint32] (exactly one is non-nil), plus the reusable pop buffer.
 type connHandle struct {
 	ph  *dq.PoolHandle[uint32]
 	rh  *dq.RelaxedHandle[uint32]
-	lat *obs.LatRec // single-writer service-time histogram
+	dst []uint32
+}
+
+// register creates the accessor for a new connection.
+func (s *Server) register() *connHandle {
+	if s.rx != nil {
+		return &connHandle{rh: s.rx.Register()}
+	}
+	return &connHandle{ph: s.pool.Register()}
 }
 
 // flush parks the handle cleanly before it returns to the freelist.
-func (h connHandle) flush() {
+func (h *connHandle) flush() {
 	if h.rh != nil {
 		h.rh.Flush()
 		return
 	}
 	h.ph.Flush()
-}
-
-// Serve accepts connections on ln until the listener closes (Shutdown
-// does that). A closed listener is a clean return, not an error.
-func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.connMu.Lock()
-			delete(s.conns, conn)
-			s.connMu.Unlock()
-		}()
-	}
-}
-
-// Shutdown drains gracefully: the listener closes (no new connections),
-// existing connections keep being answered until they hang up, and only
-// once ctx expires are in-flight operations cancelled and connections
-// force-closed. Returns nil on a clean drain, ctx.Err() on the hard path.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.lnMu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.lnMu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-	}
-	// Hard stop: abort blocked Ctx operations, then unblock reads.
-	s.cancel()
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.connMu.Unlock()
-	<-done
-	return ctx.Err()
-}
-
-// acquireHandle borrows a pool (or relaxed) handle for one connection's
-// lifetime.
-func (s *Server) acquireHandle() (connHandle, error) {
-	select {
-	case h := <-s.handles:
-		return h, nil
-	default:
-	}
-	s.hmu.Lock()
-	if s.registered < s.cfg.MaxConns {
-		s.registered++
-		s.hmu.Unlock()
-		if s.rx != nil {
-			return connHandle{rh: s.rx.Register(), lat: s.latReg.NewRec()}, nil
-		}
-		return connHandle{ph: s.pool.Register(), lat: s.latReg.NewRec()}, nil
-	}
-	s.hmu.Unlock()
-	select {
-	case h := <-s.handles:
-		return h, nil
-	case <-s.ctx.Done():
-		return connHandle{}, s.ctx.Err()
-	}
-}
-
-// serveConn runs one connection's request loop: read a frame, apply it to
-// the pool, append the response, and flush only when the read buffer runs
-// dry — that last rule is what makes pipelining pay (one flush per burst,
-// not per frame). Any read error — clean EOF, mid-frame disconnect,
-// protocol desync — ends the connection; the deque state is always
-// consistent because every accepted operation completed before its
-// response was queued.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	h, err := s.acquireHandle()
-	if err != nil {
-		return // shutting down
-	}
-	// Flush before parking: return cached slab capacity and drain pending
-	// node retires, so a handle idling in the freelist neither strands
-	// slab indices nor stalls node recycling for the whole pool.
-	defer func() { h.flush(); s.handles <- h }()
-
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	var (
-		req     wire.Request
-		resp    wire.Response
-		scratch []byte
-		out     []byte
-		dst     []uint32
-	)
-	for {
-		scratch, err = wire.ReadRequest(br, &req, scratch)
-		if err != nil {
-			return
-		}
-		var svc time.Time
-		if obs.Enabled {
-			svc = time.Now()
-		}
-		resp.Tag = req.Tag
-		resp.Count = 0
-		resp.Values = resp.Values[:0]
-		dst = s.apply(h, &req, &resp, dst)
-		out = wire.AppendResponse(out[:0], &resp)
-		if _, err := bw.Write(out); err != nil {
-			return
-		}
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
-		// Service time spans frame decoded → reply handed to the kernel
-		// (or queued behind a pipelined burst) — the server-side half of
-		// what a closed-loop client observes as round-trip latency.
-		if obs.Enabled {
-			h.lat.Record(obs.LatService, uint64(time.Since(svc)))
-		}
-	}
 }
 
 // clamp32 saturates a uint64 gauge into a wire uint32.
@@ -302,15 +130,10 @@ func clamp32(v uint64) uint32 {
 }
 
 // apply executes one validated request against the connection's handle
-// and fills resp. dst is the reusable pop buffer (returned possibly
-// grown). Statuses follow wire.StatusOf: the deque's error contract
-// crosses the wire unchanged. In relaxed mode the key is ignored —
-// d-choice selection replaces routing.
-func (s *Server) apply(h connHandle, req *wire.Request, resp *wire.Response, dst []uint32) []uint32 {
-	if st := req.Validate(); st != wire.StatusOK {
-		resp.Status = st
-		return dst
-	}
+// and fills resp. Statuses follow wire.StatusOf: the deque's error
+// contract crosses the wire unchanged. In relaxed mode the key is
+// ignored — d-choice selection replaces routing.
+func (s *Server) apply(ctx context.Context, h *connHandle, req *wire.Request, resp *wire.Response) {
 	left := req.Side == wire.Left
 	switch req.Op {
 	case wire.OpPing:
@@ -339,13 +162,13 @@ func (s *Server) apply(h connHandle, req *wire.Request, resp *wire.Response, dst
 		var err error
 		switch {
 		case h.rh != nil && left:
-			err = h.rh.PushLeftCtx(s.ctx, req.Values[0])
+			err = h.rh.PushLeftCtx(ctx, req.Values[0])
 		case h.rh != nil:
-			err = h.rh.PushRightCtx(s.ctx, req.Values[0])
+			err = h.rh.PushRightCtx(ctx, req.Values[0])
 		case left:
-			err = h.ph.PushLeftCtx(s.ctx, req.Key, req.Values[0])
+			err = h.ph.PushLeftCtx(ctx, req.Key, req.Values[0])
 		default:
-			err = h.ph.PushRightCtx(s.ctx, req.Key, req.Values[0])
+			err = h.ph.PushRightCtx(ctx, req.Key, req.Values[0])
 		}
 		resp.Status = wire.StatusOf(err)
 		if err == nil {
@@ -360,13 +183,13 @@ func (s *Server) apply(h connHandle, req *wire.Request, resp *wire.Response, dst
 		)
 		switch {
 		case h.rh != nil && left:
-			v, ok, err = h.rh.PopLeftCtx(s.ctx)
+			v, ok, err = h.rh.PopLeftCtx(ctx)
 		case h.rh != nil:
-			v, ok, err = h.rh.PopRightCtx(s.ctx)
+			v, ok, err = h.rh.PopRightCtx(ctx)
 		case left:
-			v, ok, err = h.ph.PopLeftCtx(s.ctx, req.Key)
+			v, ok, err = h.ph.PopLeftCtx(ctx, req.Key)
 		default:
-			v, ok, err = h.ph.PopRightCtx(s.ctx, req.Key)
+			v, ok, err = h.ph.PopRightCtx(ctx, req.Key)
 		}
 		switch {
 		case err != nil:
@@ -399,10 +222,10 @@ func (s *Server) apply(h connHandle, req *wire.Request, resp *wire.Response, dst
 
 	case wire.OpPopN:
 		want := int(req.Count)
-		if cap(dst) < want {
-			dst = make([]uint32, want)
+		if cap(h.dst) < want {
+			h.dst = make([]uint32, want)
 		}
-		d := dst[:want]
+		d := h.dst[:want]
 		var n int
 		switch {
 		case h.rh != nil && left:
@@ -429,5 +252,4 @@ func (s *Server) apply(h connHandle, req *wire.Request, resp *wire.Response, dst
 		// StatusOK for an op that did nothing.
 		resp.Status = wire.StatusBad
 	}
-	return dst
 }

@@ -1,15 +1,11 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"net"
-	"sync"
 	"time"
 
 	dq "repro"
-	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -28,36 +24,12 @@ type Config struct {
 // protocol over TCP: OpPushPrio admits jobs by priority band (StatusFull
 // is the load-shedding answer), OpPopMin hands workers the most urgent
 // job, OpPopMax is the drop channel under overload, and OpDepq reports
-// the observed priority-inversion snapshot. Connection lifecycle —
-// goroutine per connection, permanent-registration handle freelist,
-// pipelined strictly-ordered responses, graceful drain — matches
-// cmd/dequed exactly; only the operation set differs.
+// the observed priority-inversion snapshot. Connection lifecycle is the
+// shared loop of internal/server, exactly as in cmd/dequed; only the
+// operation set differs.
 type Server struct {
-	cfg Config
-	q   *dq.DEPQ[uint32]
-
-	// ctx cancels in-flight blocked operations on hard shutdown.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// Handle freelist: acquire prefers a parked handle, registers a new
-	// one while under the cap, and otherwise waits for a connection to
-	// finish. cap(handles) == MaxConns so release never blocks.
-	handles    chan connHandle
-	hmu        sync.Mutex
-	registered int
-
-	// latReg holds per-connection service-time recorders (frame decoded →
-	// reply flushed). Band-level op classes live in the DEQP's pool;
-	// LatencySnapshot merges both.
-	latReg obs.LatRegistry
-
-	lnMu sync.Mutex
-	ln   net.Listener
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	*server.Server[*dq.DEPQHandle[uint32]]
+	q *dq.DEPQ[uint32]
 }
 
 // NewServer validates cfg and builds the DEPQ. MaxThreads for every band
@@ -86,15 +58,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
-		cfg:     cfg,
-		q:       q,
-		ctx:     ctx,
-		cancel:  cancel,
-		handles: make(chan connHandle, cfg.MaxConns),
-		conns:   make(map[net.Conn]struct{}),
-	}, nil
+	s := &Server{q: q}
+	s.Server = server.New(cfg.MaxConns, q.Register, s.apply, (*dq.DEPQHandle[uint32]).Flush)
+	return s, nil
 }
 
 // DEPQ exposes the backing queue for the final metrics snapshot and tests.
@@ -104,144 +70,9 @@ func (s *Server) DEPQ() *dq.DEPQ[uint32] { return s.q }
 // whole service: every band's per-op classes, the pool-level classes,
 // and the server's per-connection service times.
 func (s *Server) LatencySnapshot() *dq.LatSnapshotSet {
-	set := s.latReg.Merge()
+	set := s.ServiceLatency()
 	set.Merge(s.q.LatencySnapshot())
 	return set
-}
-
-// connHandle is one connection's DEPQ accessor plus its service-time
-// recorder.
-type connHandle struct {
-	dh  *dq.DEPQHandle[uint32]
-	lat *obs.LatRec // single-writer service-time histogram
-}
-
-// Serve accepts connections on ln until the listener closes (Shutdown
-// does that). A closed listener is a clean return, not an error.
-func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.connMu.Lock()
-			delete(s.conns, conn)
-			s.connMu.Unlock()
-		}()
-	}
-}
-
-// Shutdown drains gracefully: the listener closes (no new connections),
-// existing connections keep being answered until they hang up, and only
-// once ctx expires are in-flight operations cancelled and connections
-// force-closed. Returns nil on a clean drain, ctx.Err() on the hard path.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.lnMu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.lnMu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-	}
-	// Hard stop: abort blocked Ctx operations, then unblock reads.
-	s.cancel()
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.connMu.Unlock()
-	<-done
-	return ctx.Err()
-}
-
-// acquireHandle borrows a DEPQ handle for one connection's lifetime.
-func (s *Server) acquireHandle() (connHandle, error) {
-	select {
-	case h := <-s.handles:
-		return h, nil
-	default:
-	}
-	s.hmu.Lock()
-	if s.registered < s.cfg.MaxConns {
-		s.registered++
-		s.hmu.Unlock()
-		return connHandle{dh: s.q.Register(), lat: s.latReg.NewRec()}, nil
-	}
-	s.hmu.Unlock()
-	select {
-	case h := <-s.handles:
-		return h, nil
-	case <-s.ctx.Done():
-		return connHandle{}, s.ctx.Err()
-	}
-}
-
-// serveConn runs one connection's request loop; see cmd/dequed for the
-// pipelining contract (flush only when the read buffer runs dry).
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	h, err := s.acquireHandle()
-	if err != nil {
-		return // shutting down
-	}
-	defer func() { h.dh.Flush(); s.handles <- h }()
-
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	var (
-		req     wire.Request
-		resp    wire.Response
-		scratch []byte
-		out     []byte
-	)
-	for {
-		scratch, err = wire.ReadRequest(br, &req, scratch)
-		if err != nil {
-			return
-		}
-		var svc time.Time
-		if obs.Enabled {
-			svc = time.Now()
-		}
-		resp.Tag = req.Tag
-		resp.Count = 0
-		resp.Values = resp.Values[:0]
-		s.apply(h, &req, &resp)
-		out = wire.AppendResponse(out[:0], &resp)
-		if _, err := bw.Write(out); err != nil {
-			return
-		}
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
-		if obs.Enabled {
-			h.lat.Record(obs.LatService, uint64(time.Since(svc)))
-		}
-	}
 }
 
 // clamp32 saturates a uint64 gauge into a wire uint32.
@@ -266,11 +97,7 @@ func clampBand(key uint64) int {
 // and fills resp. Statuses follow wire.StatusOf: the deque's error
 // contract crosses the wire unchanged — StatusFull on OpPushPrio IS the
 // load-shedding decision, made by the band's capacity bound.
-func (s *Server) apply(h connHandle, req *wire.Request, resp *wire.Response) {
-	if st := req.Validate(); st != wire.StatusOK {
-		resp.Status = st
-		return
-	}
+func (s *Server) apply(ctx context.Context, h *dq.DEPQHandle[uint32], req *wire.Request, resp *wire.Response) {
 	switch req.Op {
 	case wire.OpPing:
 		resp.Status = wire.StatusOK
@@ -292,7 +119,7 @@ func (s *Server) apply(h connHandle, req *wire.Request, resp *wire.Response) {
 		resp.Values, resp.Count = wire.AppendOpStats(resp.Values, s.LatencySnapshot())
 
 	case wire.OpPushPrio:
-		err := h.dh.PushCtx(s.ctx, req.Values[0], clampBand(req.Key))
+		err := h.PushCtx(ctx, req.Values[0], clampBand(req.Key))
 		resp.Status = wire.StatusOf(err)
 		if err == nil {
 			resp.Count = 1
@@ -306,9 +133,9 @@ func (s *Server) apply(h connHandle, req *wire.Request, resp *wire.Response) {
 			err  error
 		)
 		if req.Op == wire.OpPopMin {
-			v, band, ok, err = h.dh.PopMinCtx(s.ctx)
+			v, band, ok, err = h.PopMinCtx(ctx)
 		} else {
-			v, band, ok, err = h.dh.PopMaxCtx(s.ctx)
+			v, band, ok, err = h.PopMaxCtx(ctx)
 		}
 		switch {
 		case err != nil:

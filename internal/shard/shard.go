@@ -21,17 +21,15 @@
 // because every shard is already double-ended.
 package shard
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Policy selects how a Router maps operations to shards.
 type Policy uint8
 
 const (
-	// RoundRobin spreads operations evenly: each caller cycles through
-	// the shards from a per-caller staggered start. Best for symmetric
+	// RoundRobin spreads operations evenly: each caller cycles its pushes,
+	// and separately its pops, through the shards from a per-caller
+	// staggered start. Best for symmetric
 	// producer/consumer fleets with no key structure.
 	RoundRobin Policy = iota
 	// KeyAffinity routes by FNV-1a hash of the operation key: equal keys
@@ -91,12 +89,19 @@ func Hash(key uint64) uint64 {
 
 // Router is one caller's routing state. It is NOT safe for concurrent
 // use — exactly like a deque Handle, each PoolHandle owns one. The only
-// mutable state is the round-robin cursor; KeyAffinity and LeastLoaded
-// routers are pure.
+// mutable state is the pair of round-robin cursors; KeyAffinity and
+// LeastLoaded routers are pure.
+//
+// Pushes and pops advance separate cursors, so whatever the interleaving
+// the k-th pop targets the shard the k-th push filled. A shared cursor
+// would make a caller that alternates push and pop on an even shard count
+// push only to shards of one parity and pop only from the other: every
+// pop would pay a steal sweep, and the pushes would cover half the shards.
 type Router struct {
-	policy Policy
-	n      int
-	next   uint32
+	policy   Policy
+	n        int
+	nextPush uint32
+	nextPop  uint32
 }
 
 // NewRouter returns a router over n shards. offset staggers the
@@ -106,7 +111,15 @@ func NewRouter(p Policy, n int, offset uint32) Router {
 	if n <= 0 {
 		panic(fmt.Sprintf("shard: NewRouter with %d shards", n))
 	}
-	return Router{policy: p, n: n, next: offset % uint32(n)}
+	start := offset % uint32(n)
+	return Router{policy: p, n: n, nextPush: start, nextPop: start}
+}
+
+// cycle returns the shard under *cursor and advances it.
+func (r *Router) cycle(cursor *uint32) int {
+	i := int(*cursor) % r.n
+	*cursor++
+	return i
 }
 
 // Shards returns the shard count the router was built for.
@@ -131,14 +144,13 @@ func (r *Router) Push(key uint64, load func(int) int) int {
 		}
 		return best
 	default: // RoundRobin
-		i := int(r.next) % r.n
-		r.next++
-		return i
+		return r.cycle(&r.nextPush)
 	}
 }
 
 // Pop picks the home shard for a pop. KeyAffinity and RoundRobin mirror
-// Push (equal keys pop where they pushed; round-robin drains evenly);
+// Push (equal keys pop where they pushed; round-robin drains evenly, on
+// its own cursor);
 // LeastLoaded inverts to the most-loaded shard so consumers drain the
 // deepest backlog first.
 func (r *Router) Pop(key uint64, load func(int) int) int {
@@ -154,9 +166,7 @@ func (r *Router) Pop(key uint64, load func(int) int) int {
 		}
 		return best
 	default: // RoundRobin
-		i := int(r.next) % r.n
-		r.next++
-		return i
+		return r.cycle(&r.nextPop)
 	}
 }
 
@@ -169,6 +179,11 @@ func (r *Router) Pop(key uint64, load func(int) int) int {
 // victim can turn out empty, and a zero-estimate shard can hold values —
 // callers that must certify global emptiness fall back to trying every
 // shard.
+//
+// It runs on every steal sweep, so it must not allocate; sort.Slice's
+// closure and swapper would escape to the heap, so it insertion-sorts
+// the at most Shards candidates. Candidates are appended in index order
+// and the sort is stable, so ties stay index-ordered.
 func StealOrder(dst []int, loads []int, home int) []int {
 	dst = dst[:0]
 	for i, l := range loads {
@@ -176,11 +191,13 @@ func StealOrder(dst []int, loads []int, home int) []int {
 			dst = append(dst, i)
 		}
 	}
-	sort.Slice(dst, func(a, b int) bool {
-		if loads[dst[a]] != loads[dst[b]] {
-			return loads[dst[a]] > loads[dst[b]]
+	for a := 1; a < len(dst); a++ {
+		x := dst[a]
+		b := a
+		for ; b > 0 && loads[dst[b-1]] < loads[x]; b-- {
+			dst[b] = dst[b-1]
 		}
-		return dst[a] < dst[b] // deterministic tie-break
-	})
+		dst[b] = x
+	}
 	return dst
 }

@@ -38,9 +38,20 @@ func TestRoundRobinCyclesWithStagger(t *testing.T) {
 			t.Fatalf("rr sequence %v, want %v", got, want)
 		}
 	}
-	// Pop shares the cursor: drains keep cycling too.
-	if i := r.Pop(0, nil); i != 2 {
-		t.Fatalf("pop after 8 pushes = %d, want 2", i)
+	// Pops cycle on their own cursor from the same staggered start, so
+	// pushes and pops interleaved in any pattern still visit the shards
+	// in the same order: the k-th pop targets the k-th push's shard.
+	for i, w := range want {
+		if got := r.Pop(0, nil); got != w {
+			t.Fatalf("pop %d after 8 pushes = %d, want %d", i, got, w)
+		}
+	}
+	r = NewRouter(RoundRobin, 4, 2)
+	for i := 0; i < 8; i++ {
+		push, pop := r.Push(0, nil), r.Pop(0, nil)
+		if push != want[i] || pop != want[i] {
+			t.Fatalf("alternating step %d: push %d, pop %d; want both %d", i, push, pop, want[i])
+		}
 	}
 }
 
@@ -100,6 +111,25 @@ func TestStealOrder(t *testing.T) {
 	for _, i := range got {
 		if i == 2 {
 			t.Fatalf("home shard 2 listed as victim: %v", got)
+		}
+	}
+}
+
+func TestStealOrderDoesNotAllocate(t *testing.T) {
+	loads := []int{3, 0, 7, 7, 1, 9, 2, 5}
+	scratch := make([]int, 0, len(loads))
+	if n := testing.AllocsPerRun(100, func() {
+		scratch = StealOrder(scratch, loads, 1)
+	}); n != 0 {
+		t.Fatalf("StealOrder made %v allocs per call, want 0", n)
+	}
+	want := []int{5, 2, 3, 7, 0, 6, 4}
+	if len(scratch) != len(want) {
+		t.Fatalf("StealOrder = %v, want %v", scratch, want)
+	}
+	for i := range want {
+		if scratch[i] != want[i] {
+			t.Fatalf("StealOrder = %v, want %v", scratch, want)
 		}
 	}
 }

@@ -202,18 +202,20 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 // needed) and returns it. io.EOF before the first length byte is a clean
 // end of stream and passes through unchanged; any other truncation is
 // io.ErrUnexpectedEOF.
+//
+// The length prefix is peeked in the reader's own buffer rather than
+// copied into a local array: io.ReadFull takes a slice, so the array
+// would escape to the heap once per frame.
 func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [lenPrefix]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return buf, err // clean EOF between frames
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		if err == io.EOF {
+	hdr, err := br.Peek(lenPrefix)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return buf, err
+		return buf, err // io.EOF with no bytes: clean EOF between frames
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	_, _ = br.Discard(lenPrefix) // cannot fail: Peek just buffered these bytes
 	if n > maxFrameLen {
 		return buf, fmt.Errorf("%w: frame length %d exceeds %d", ErrFrame, n, maxFrameLen)
 	}

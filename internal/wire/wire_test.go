@@ -83,8 +83,8 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func TestTruncatedAndOversizedFrames(t *testing.T) {
 	full := AppendRequest(nil, &Request{Op: OpPushN, Side: Left, Count: 2, Values: []uint32{1, 2}})
-	// Every strict prefix (past the first byte) must yield ErrUnexpectedEOF,
-	// never a hang or a bogus decode.
+	// Every strict non-empty prefix — a partial length prefix or a partial
+	// body — must yield ErrUnexpectedEOF, never a hang or a bogus decode.
 	for cut := 1; cut < len(full); cut++ {
 		br := bufio.NewReader(bytes.NewReader(full[:cut]))
 		var req Request
@@ -92,7 +92,7 @@ func TestTruncatedAndOversizedFrames(t *testing.T) {
 		if err == nil {
 			t.Fatalf("cut=%d: decode succeeded", cut)
 		}
-		if cut >= 4 && !errors.Is(err, io.ErrUnexpectedEOF) {
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut=%d: err = %v, want ErrUnexpectedEOF", cut, err)
 		}
 	}
@@ -102,6 +102,44 @@ func TestTruncatedAndOversizedFrames(t *testing.T) {
 	var req Request
 	if _, err := ReadRequest(br, &req, nil); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized frame: err = %v, want ErrFrame", err)
+	}
+}
+
+// Reading a frame must not allocate once the caller's scratch buffers
+// have grown: the server and the client read one frame per request.
+func TestReadFramesDoNotAllocate(t *testing.T) {
+	const frames = 64
+	var reqStream, respStream []byte
+	for i := 0; i < frames; i++ {
+		reqStream = AppendRequest(reqStream, &Request{Tag: uint32(i), Op: OpPush, Side: Left, Count: 1, Values: []uint32{uint32(i)}})
+		respStream = AppendResponse(respStream, &Response{Tag: uint32(i), Status: StatusOK, Count: 1, Values: []uint32{uint32(i)}})
+	}
+	rd := bytes.NewReader(nil)
+	br := bufio.NewReader(rd)
+	var (
+		req     Request
+		resp    Response
+		scratch []byte
+		err     error
+	)
+	readAll := func(stream []byte, read func() error) {
+		rd.Reset(stream)
+		br.Reset(rd)
+		for i := 0; i < frames; i++ {
+			if err = read(); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+	}
+	readReq := func() error { scratch, err = ReadRequest(br, &req, scratch); return err }
+	readResp := func() error { scratch, err = ReadResponse(br, &resp, scratch); return err }
+	readAll(reqStream, readReq) // grow scratch and req.Values once
+	if n := testing.AllocsPerRun(20, func() { readAll(reqStream, readReq) }); n != 0 {
+		t.Fatalf("ReadRequest: %v allocs per %d frames, want 0", n, frames)
+	}
+	readAll(respStream, readResp)
+	if n := testing.AllocsPerRun(20, func() { readAll(respStream, readResp) }); n != 0 {
+		t.Fatalf("ReadResponse: %v allocs per %d frames, want 0", n, frames)
 	}
 }
 

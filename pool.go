@@ -320,7 +320,7 @@ func (h *PoolHandle[T]) load(i int) int { return int(h.p.loads[i].n.Load()) }
 
 // Home returns the shard the next push under key would route to —
 // exported so tools can predict placement. For RouteRoundRobin the
-// answer consumes a routing step (the cursor advances).
+// answer consumes a routing step (the push cursor advances).
 func (h *PoolHandle[T]) Home(key uint64) int { return h.router.Push(key, h.load) }
 
 // note records a successful push (+n) or pop (-n) on shard i.

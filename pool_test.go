@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/backoff"
+	"repro/internal/obs"
 	"repro/internal/shard"
 )
 
@@ -68,6 +69,36 @@ func TestPoolRoundRobinSpreads(t *testing.T) {
 	}
 	if p.LenExact() != 40 || p.Len() != 40 {
 		t.Fatalf("LenExact = %d, Len = %d, want 40", p.LenExact(), p.Len())
+	}
+}
+
+// A handle alternating push and pop must pop where it pushed: round-robin
+// pushes and pops advance separate cursors, so the pushes cover every
+// shard and no pop falls through to a steal sweep.
+func TestPoolRoundRobinAlternatingPopsHome(t *testing.T) {
+	p := NewPool[int](4, WithRouting(RouteRoundRobin), WithStealing(true))
+	h := p.Register()
+	pushes := make([]int, p.Shards())
+	for i := 0; i < 40; i++ {
+		if err := h.PushLeft(0, i); err != nil {
+			t.Fatal(err)
+		}
+		for j := range pushes {
+			if p.Shard(j).Len() == 1 {
+				pushes[j]++
+			}
+		}
+		if v, ok := h.PopRight(0); !ok || v != i {
+			t.Fatalf("pop %d = %d, %v; want %d, true", i, v, ok, i)
+		}
+	}
+	for _, n := range pushes {
+		if n != 10 {
+			t.Fatalf("pushes per shard %v, want 10 each (round-robin must spread evenly)", pushes)
+		}
+	}
+	if n := p.LatencySnapshot().Classes[obs.LatStealSweep].Count; n != 0 {
+		t.Fatalf("%d steal_sweep samples, want 0 (every pop should find its home shard's value)", n)
 	}
 }
 

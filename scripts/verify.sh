@@ -39,6 +39,9 @@ sh scripts/smoke_service.sh
 echo "== scheduler loopback smoke (schedd + dqload -deadline: conservation + inversion) =="
 sh scripts/smoke_sched.sh
 
+echo "== perfbench selftest (every workload 1 s, traced and untraced: metrics present, ledgers closed) =="
+bash perfbench/run.sh --selftest
+
 echo "== go vet (obsoff build) =="
 go vet -tags obsoff ./...
 run_staticcheck -tags obsoff
