@@ -12,9 +12,9 @@ import (
 	"os"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/contbench"
 	"repro/internal/hostmeta"
 	"repro/internal/obs"
@@ -77,11 +77,11 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	threads, err := parseInts(*threadsFlag)
+	threads, err := bench.ParseInts(*threadsFlag, false)
 	if err != nil {
 		fatalf("bad -threads: %v", err)
 	}
-	batches, err := parseInts(*batchesFlag)
+	batches, err := bench.ParseInts(*batchesFlag, false)
 	if err != nil {
 		fatalf("bad -batches: %v", err)
 	}
@@ -134,7 +134,9 @@ func main() {
 
 	if *baselineOnly {
 		r := sweep(contbench.ModeCurrent, 0, "measured baseline")
-		writeJSON(*out, r)
+		if err := bench.WriteJSON(*out, r); err != nil {
+			fatalf("%v", err)
+		}
 		fmt.Fprintf(os.Stderr, "wrote baseline run to %s\n", *out)
 		return
 	}
@@ -185,7 +187,9 @@ func main() {
 		Batches:   batchRuns,
 		Speedup:   speedup,
 	}
-	writeJSON(*out, rep)
+	if err := bench.WriteJSON(*out, rep); err != nil {
+		fatalf("%v", err)
+	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	for _, t := range threads {
 		key := strconv.Itoa(t)
@@ -194,33 +198,6 @@ func main() {
 		} else {
 			fmt.Fprintf(os.Stderr, "  speedup t=%-3s n/a (no baseline point)\n", key)
 		}
-	}
-}
-
-func parseInts(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func writeJSON(path string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatalf("marshal: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
 	}
 }
 

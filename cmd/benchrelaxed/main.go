@@ -14,17 +14,16 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	dq "repro"
+	"repro/internal/bench"
 	"repro/internal/hostmeta"
 )
 
@@ -80,11 +79,11 @@ func main() {
 	)
 	flag.Parse()
 
-	threads, err := parseInts(*threadsFlag)
+	threads, err := bench.ParseInts(*threadsFlag, true)
 	if err != nil || len(threads) == 0 {
 		fatalf("bad -threads: %v", err)
 	}
-	shardCounts, err := parseInts(*shardsFlag)
+	shardCounts, err := bench.ParseInts(*shardsFlag, true)
 	if err != nil || len(shardCounts) == 0 {
 		fatalf("bad -shards: %v", err)
 	}
@@ -140,10 +139,12 @@ func main() {
 		// reads (ops_per_sec keyed by thread count, host for the
 		// equal-GOMAXPROCS assertion).
 		r := sweep(*mode, shardCounts[0])
-		writeJSON(*out, struct {
+		if err := bench.WriteJSON(*out, struct {
 			run
 			Host hostmeta.Host `json:"host"`
-		}{r, hostmeta.Collect()})
+		}{r, hostmeta.Collect()}); err != nil {
+			fatalf("%v", err)
+		}
 		fmt.Fprintf(os.Stderr, "wrote %s arm to %s\n", *mode, *out)
 
 	case "curve":
@@ -175,7 +176,9 @@ func main() {
 			Relaxed:   relaxed,
 			Speedup:   speedup,
 		}
-		writeJSON(*out, rep)
+		if err := bench.WriteJSON(*out, rep); err != nil {
+			fatalf("%v", err)
+		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 
 	default:
@@ -324,36 +327,6 @@ func runTrial(arm string, shards, threads int, cfg benchConfig) (opsPerSec float
 		m = rx.RelaxMetrics()
 	}
 	return float64(total.Load()) / elapsed, m
-}
-
-func parseInts(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			return nil, fmt.Errorf("value %d must be positive", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func writeJSON(path string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatalf("marshal: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
 }
 
 func fatalf(format string, args ...any) {

@@ -37,16 +37,16 @@ import (
 //     still held work (PopMax mirrors toward high bands). b = 0 is a
 //     strict priority queue; the default K-1 is unbounded (priority is
 //     best-effort). The bound is enforced by the reservation scan in
-//     shard.BandStamps: a pop whose band distance would exceed b is
-//     undone and re-targeted, so the estimate recorded for every
-//     successful pop is <= b by construction.
+//     shard.Stamps.ReserveBandPop: a pop whose band distance would
+//     exceed b is undone and re-targeted, so the estimate recorded for
+//     every successful pop is <= b by construction.
 //   - Two-choice selection spreads contention inside the allowed window:
 //     a pop samples WithBandChoice(d) bands (default 2) between the
 //     nearest resident band and the bound's edge and takes the most
 //     loaded, so concurrent consumers do not all hammer one band's CAS.
 //   - DepqMetrics() reports the inversion actually observed (max, mean,
-//     histogram) via an obs.DepqRegistry — the configured bound says
-//     what may happen, the metric says what did.
+//     histogram) via one obs.DistRegistry per end — the configured bound
+//     says what may happen, the metric says what did.
 //
 // What survives from the pool contract: conservation (every pushed value
 // pops exactly once, across any mix of ends), per-band linearizability
@@ -58,9 +58,10 @@ type DEPQ[T any] struct {
 	k      int   // priority bands == pool shards
 	bound  int64 // enforced inversion bound; < 0 disables (unbounded)
 	choice int   // d-choice width inside the band window
-	stamps *shard.BandStamps
-	reg    obs.DepqRegistry
-	seed   atomic.Uint64 // staggers per-handle sampler streams
+	stamps *shard.Stamps
+	mins   obs.DistRegistry // PopMin inversion estimates
+	maxes  obs.DistRegistry // PopMax inversion estimates
+	seed   atomic.Uint64    // staggers per-handle sampler streams
 }
 
 // depqOptions collects DEPQ construction parameters.
@@ -148,7 +149,7 @@ func NewDEPQChecked[T any](opts ...DEPQOption) (*DEPQ[T], error) {
 		k:      o.bands,
 		bound:  -1, // unbounded: a pop may cross all K-1 band distances
 		choice: o.choice,
-		stamps: shard.NewBandStamps(o.bands),
+		stamps: shard.NewStamps(o.bands),
 	}
 	if o.boundSet {
 		q.bound = int64(o.bound)
@@ -218,7 +219,9 @@ func (q *DEPQ[T]) SetFlightDump(w io.Writer, minInterval time.Duration) {
 // build tag (the estimate is skipped, the structure still enforces the
 // bound).
 func (q *DEPQ[T]) DepqMetrics() DepqMetrics {
-	m := q.reg.Merge()
+	var m DepqMetrics
+	q.mins.MergeInto(&m.PopMins, &m.InvSum, &m.InvMax, m.InvHist[:])
+	q.maxes.MergeInto(&m.PopMaxes, &m.InvSum, &m.InvMax, m.InvHist[:])
 	m.Bands = uint64(q.k)
 	m.BandBound = uint64(q.BandBound())
 	m.Choice = uint64(q.choice)
@@ -230,22 +233,23 @@ func (q *DEPQ[T]) DepqMetrics() DepqMetrics {
 // Pool and Deque handles).
 func (q *DEPQ[T]) Register() *DEPQHandle[T] {
 	return &DEPQHandle[T]{
-		q:   q,
-		ph:  q.pool.Register(),
-		rec: q.reg.NewRec(),
-		smp: shard.NewSampler(q.k,
-			q.seed.Add(1)*0x9e3779b97f4a7c15+0x2545f4914f6cdd1d),
+		q:      q,
+		ph:     q.pool.Register(),
+		minRec: q.mins.NewRec(),
+		maxRec: q.maxes.NewRec(),
+		smp:    shard.NewSampler(q.seed.Add(1)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d),
 	}
 }
 
 // DEPQHandle is a per-goroutine accessor to a DEPQ. Not safe for
 // concurrent use.
 type DEPQHandle[T any] struct {
-	q     *DEPQ[T]
-	ph    *PoolHandle[T]
-	rec   *obs.DepqRec
-	smp   shard.Sampler
-	picks []int // d-choice scratch
+	q      *DEPQ[T]
+	ph     *PoolHandle[T]
+	minRec *obs.DistRec
+	maxRec *obs.DistRec
+	smp    shard.Sampler
+	picks  []int // d-choice scratch
 }
 
 // clampBand maps a caller priority into [0, bands).
@@ -277,14 +281,8 @@ func (h *DEPQHandle[T]) push(ctx context.Context, v T, prio int) error {
 	// Reserve before the push so the band looks resident to concurrent
 	// pop reservations from the moment the push is committed to —
 	// conservative for the bound (see internal/shard/band.go).
-	h.q.stamps.ReservePush(b)
-	var err error
-	if ctx != nil {
-		err = h.ph.hs[b].PushLeftCtx(ctx, v)
-	} else {
-		err = h.ph.hs[b].PushLeft(v)
-	}
-	if err != nil {
+	h.q.stamps.AddPush(b, 1)
+	if err := h.ph.hs[b].pushEnd(ctx, v, true); err != nil {
 		h.q.stamps.UndoPush(b)
 		return err
 	}
@@ -320,127 +318,75 @@ func (h *DEPQHandle[T]) PopMaxCtx(ctx context.Context) (v T, prio int, ok bool, 
 	return h.pop(ctx, false)
 }
 
-// tryBand reserves a pop stamp on band b (enforcing the inversion bound
-// for the given end), attempts the band's deque pop, and either records
-// the inversion estimate or undoes the stamp. blocked reports a bound
-// rejection: work closer to this end looks resident, so the value must
-// come from nearer this sweep.
-func (h *DEPQHandle[T]) tryBand(ctx context.Context, b int, min bool) (v T, ok, blocked bool, err error) {
-	st := h.q.stamps
-	var (
-		inv      int64
-		reserved bool
-	)
-	if min {
-		inv, reserved = st.ReservePopMin(b, h.q.bound)
-	} else {
-		inv, reserved = st.ReservePopMax(b, h.q.bound)
+// edgeBand maps the i-th band from the popping end to its band index:
+// PopMin (low) counts up from band 0, PopMax down from band K-1. The map
+// is its own inverse, so it also gives a band's distance from that end.
+func (q *DEPQ[T]) edgeBand(i int, low bool) int {
+	if low {
+		return i
 	}
-	if !reserved {
-		return v, false, true, nil
-	}
-	// PopMin drains the right end (oldest first: FIFO service); PopMax
-	// drains the left end (newest first: cheapest to shed).
-	switch {
-	case ctx != nil && min:
-		v, ok, err = h.ph.hs[b].PopRightCtx(ctx)
-	case ctx != nil:
-		v, ok, err = h.ph.hs[b].PopLeftCtx(ctx)
-	case min:
-		v, ok = h.ph.hs[b].PopRight()
-	default:
-		v, ok = h.ph.hs[b].PopLeft()
-	}
-	if !ok {
-		st.UndoPop(b)
-		return v, false, false, err
-	}
-	h.ph.note(b, -1)
-	if h.rec != nil && obs.Enabled {
-		if min {
-			h.rec.RecordMin(uint64(inv))
-		} else {
-			h.rec.RecordMax(uint64(inv))
-		}
-	}
-	return v, true, false, nil
+	return q.k - 1 - i
 }
 
-// pop drives PopMin (min=true) and PopMax: a d-choice probe inside the
-// allowed band window, then a full sweep from the requested end to
-// certify emptiness, retrying (with the pool handle's jittered backoff)
-// while any band was bound-blocked — a blocked band means work nearer
-// the requested end is still in flight, so "empty" cannot be certified
-// past it.
-func (h *DEPQHandle[T]) pop(ctx context.Context, min bool) (v T, prio int, ok bool, err error) {
-	q := h.q
-	h.ph.bo.Reset()
-	for {
-		anyBlocked := false
-
-		// d-choice probe: sample bands between the nearest resident band
-		// and the bound's edge, take the most loaded. Any band in the
-		// window satisfies the bound, so the spread is free.
-		if b := h.chooseBand(min); b >= 0 {
-			if v, ok, blocked, err := h.tryBand(ctx, b, min); ok || err != nil {
-				return v, b, ok, err
-			} else if blocked {
-				anyBlocked = true
-			}
-		}
-
-		// Full sweep from the requested end: strict priority order, and
-		// the only way to certify emptiness.
-		for i := 0; i < q.k; i++ {
-			b := i
-			if !min {
-				b = q.k - 1 - i
-			}
-			if v, ok, blocked, err := h.tryBand(ctx, b, min); ok || err != nil {
-				return v, b, ok, err
-			} else if blocked {
-				anyBlocked = true
-			}
-		}
-		if !anyBlocked {
-			return v, -1, false, nil // every band certified empty this sweep
-		}
-		if ctx != nil {
-			if err = ctx.Err(); err != nil {
-				return v, -1, false, err
-			}
-		}
-		h.ph.bo.Spin()
+// pop drives PopMin (low=true) and PopMax under certify: a d-choice probe
+// inside the allowed band window, then a sweep from the requested end in
+// strict priority order. Each leg reserves a pop stamp (enforcing the
+// inversion bound for that end), attempts the band's deque pop, and
+// either records the inversion estimate or undoes the stamp. A bound
+// rejection blocks the leg: work nearer the requested end looks
+// resident, so the value must come from nearer, and "empty" cannot be
+// certified past it.
+func (h *DEPQHandle[T]) pop(ctx context.Context, low bool) (v T, prio int, ok bool, err error) {
+	q, st := h.q, h.q.stamps
+	rec := h.maxRec
+	if low {
+		rec = h.minRec
 	}
+	prio = -1
+	cerr := h.ph.certify(ctx, q.k, func() int { return h.chooseBand(low) },
+		func(i int) int { return q.edgeBand(i, low) },
+		func(b int) legResult {
+			inv, reserved := st.ReserveBandPop(b, q.bound, low)
+			if !reserved {
+				return legBlocked
+			}
+			// PopMin drains the right end (oldest first: FIFO service);
+			// PopMax drains the left end (newest first: cheapest to shed).
+			if v, ok, err = h.ph.hs[b].popEnd(ctx, !low); !ok {
+				st.UndoPop(b)
+				if err != nil {
+					return legDone
+				}
+				return legEmpty
+			}
+			h.ph.note(b, -1)
+			if obs.Enabled {
+				rec.Record(uint64(inv))
+			}
+			prio = b
+			return legDone
+		})
+	if cerr != nil {
+		return v, -1, false, cerr
+	}
+	return v, prio, ok, err
 }
 
 // chooseBand picks the d-choice probe target for one pop: the most
 // loaded of `choice` bands sampled inside the window the bound allows,
-// anchored at the nearest resident band. Returns -1 when nothing looks
-// resident (the caller's sweep then decides emptiness).
-func (h *DEPQHandle[T]) chooseBand(min bool) int {
+// anchored at the resident band nearest the popping end. Any band in the
+// window satisfies the bound, so the spread is free. Returns -1 when
+// nothing looks resident (the sweep then decides emptiness).
+func (h *DEPQHandle[T]) chooseBand(low bool) int {
 	q := h.q
-	var anchor, width int
-	if min {
-		m := q.stamps.LowestResident()
-		if m < 0 {
-			return -1
-		}
-		hi := q.k - 1
-		if q.bound >= 0 && m+int(q.bound) < hi {
-			hi = m + int(q.bound)
-		}
-		anchor, width = m, hi-m+1
-	} else {
-		m := q.stamps.HighestResident()
-		if m < 0 {
-			return -1
-		}
-		lo := 0
-		if q.bound >= 0 && m-int(q.bound) > lo {
-			lo = m - int(q.bound)
-		}
-		anchor, width = m, m-lo+1
+	anchor := q.stamps.EdgeResident(low)
+	if anchor < 0 {
+		return -1
+	}
+	r := q.edgeBand(anchor, low)
+	width := q.k - r // bands from the anchor to the far end
+	if q.bound >= 0 {
+		width = min(width, int(q.bound)+1)
 	}
 	if width <= 1 || q.choice <= 1 {
 		return anchor
@@ -448,10 +394,7 @@ func (h *DEPQHandle[T]) chooseBand(min bool) int {
 	h.picks = h.smp.PickIn(width, q.choice, h.picks)
 	best := -1
 	for _, off := range h.picks {
-		b := anchor + off
-		if !min {
-			b = anchor - off
-		}
+		b := q.edgeBand(r+off, low)
 		if q.stamps.Resident(b) <= 0 {
 			continue // sample landed on an empty band
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestDEPQConstructionValidation(t *testing.T) {
@@ -332,5 +333,43 @@ func TestDEPQCtx(t *testing.T) {
 	}
 	if err := h.PushCtx(ctx, 1, 0); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("PushCtx after cancel: %v", err)
+	}
+}
+
+// TestDEPQBlockedIsNotEmpty pins "blocked ≠ empty" for both pop ends. A
+// push reservation leaked on the band nearest the popping end makes that
+// band look resident, so under a strict bound every other band's pop
+// reservation is bound-blocked, and no sweep can certify emptiness: the
+// Ctx pop must surface ctx.Err() at its deadline, never ok=false. Once
+// the leak is undone, the same pop certifies empty in one sweep.
+func TestDEPQBlockedIsNotEmpty(t *testing.T) {
+	for _, low := range []bool{true, false} {
+		q := NewDEPQ[int](WithBands(4), WithBandBound(0))
+		h := q.Register()
+		pop := h.PopMaxCtx
+		if low {
+			pop = h.PopMinCtx
+		}
+		edge := q.edgeBand(0, low)
+		q.stamps.AddPush(edge, 1) // a push that reserved its stamp and never landed
+
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, _, ok, err := pop(ctx)
+		cancel()
+		if ok || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("low=%v: blocked pop = ok %v err %v, want context.DeadlineExceeded", low, ok, err)
+		}
+		if h.ph.resweeps == 0 {
+			t.Fatalf("low=%v: blocked sweeps were not retried", low)
+		}
+
+		q.stamps.UndoPush(edge)
+		before := h.ph.resweeps
+		if _, prio, ok, err := pop(context.Background()); ok || err != nil || prio != -1 {
+			t.Fatalf("low=%v: pop after undo = (prio %d, ok %v, err %v), want certified empty", low, prio, ok, err)
+		}
+		if got := h.ph.resweeps - before; got != 0 {
+			t.Fatalf("low=%v: empty pop took %d resweeps, want one sweep", low, got)
+		}
 	}
 }

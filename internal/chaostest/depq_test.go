@@ -27,7 +27,7 @@ var depqReclaims = []struct {
 // every job whose Push reported success pops exactly once — from either
 // end — nothing is invented, nothing is lost. Forced ErrFull failures
 // exercise the UndoPush path; chaotic pop interleavings exercise
-// ReservePopMin/Max claim-then-undo against concurrent stamp motion.
+// ReserveBandPop claim-then-undo against concurrent stamp motion.
 func TestDEPQConservationChaos(t *testing.T) {
 	for _, rc := range depqReclaims {
 		t.Run(rc.name, func(t *testing.T) {

@@ -1,12 +1,11 @@
 package shard
 
-// This file is the accounting brain of the double-ended priority queue
-// front-end (the public deque.DEPQ[T]): per-band operation stamps and the
-// reservation protocol that enforces a configured worst-case priority
-// inversion, measured in bands. It is the priority twin of relax.go's
-// rank-error machinery — same reserve/undo discipline, same epistemology
-// (the configured bound says what the estimator may admit; the obs
-// registry says what it did).
+// This file is the band reservation of the double-ended priority queue
+// front-end (the public deque.DEPQ[T]), which runs on the same Stamps
+// table as the relaxed front-end: one shard per priority band, the same
+// reserve/undo discipline and the same epistemology (the configured
+// bound says what the estimator may admit; the obs registry says what it
+// did).
 //
 // # The inversion argument, in one paragraph
 //
@@ -16,141 +15,39 @@ package shard
 // that still held work — the number of priority classes it skipped over.
 // Enforcement and estimate come from one atomic-load scan inside the pop
 // reservation: the pop stamp is claimed first (so the scan never counts
-// the value being taken), then every lower band's resident estimate
-// (pushes minus pops) is checked; if the nearest resident lower band is
-// more than `bound` bands away the reservation is undone and the caller
-// must re-target. A reservation that succeeds therefore carries an
-// estimate <= bound by construction, and the chaos suites gate exactly
-// that invariant end to end — an unbalanced undo path or a bypassed
-// reservation would surface as an estimate above the bound. PopMax
-// mirrors the scan toward higher bands. Push stamps are reserved before
-// the push and undone on failure (ErrFull), so an in-flight push makes
-// its band look resident a moment early — conservative for the bound
-// (pops near it block transiently rather than under-report).
+// the value being taken), then the lowest band that still looks resident
+// (pushes minus pops) is found; if it is more than `bound` bands below
+// the target the reservation is undone and the caller must re-target. A
+// reservation that succeeds therefore carries an estimate <= bound by
+// construction, and the chaos suites gate exactly that invariant end to
+// end — an unbalanced undo path or a bypassed reservation would surface
+// as an estimate above the bound. PopMax mirrors the scan from the high
+// end. Push stamps are reserved (AddPush) before the push and undone on
+// failure (ErrFull), so an in-flight push makes its band look resident a
+// moment early — conservative for the bound (pops near it block
+// transiently rather than under-report).
 
-// BandStamps tracks per-band push and pop counters for a DEPQ front-end.
-// All methods are safe for concurrent use; counters are monotone except
-// for the transient dips of an undone reservation.
-type BandStamps struct {
-	push []stampCtr
-	pop  []stampCtr
-}
-
-// NewBandStamps returns stamp counters for k bands.
-func NewBandStamps(k int) *BandStamps {
-	return &BandStamps{push: make([]stampCtr, k), pop: make([]stampCtr, k)}
-}
-
-// Bands returns the band count the stamps were built for.
-func (s *BandStamps) Bands() int { return len(s.push) }
-
-// Resident returns band b's stamp-derived resident estimate (pushes minus
-// pops; transiently negative under in-flight pop reservations).
-func (s *BandStamps) Resident(b int) int64 {
-	return s.push[b].n.Load() - s.pop[b].n.Load()
-}
-
-// ReservePush claims a push stamp on band b before the push executes, so
-// the band looks resident to concurrent pop reservations from the moment
-// the push is committed to. Undo it if the push fails.
-func (s *BandStamps) ReservePush(b int) { s.push[b].n.Add(1) }
-
-// UndoPush returns an unused push reservation (the push itself failed,
-// e.g. ErrFull).
-func (s *BandStamps) UndoPush(b int) { s.push[b].n.Add(-1) }
-
-// UndoPop returns an unused pop reservation (the band turned out empty).
-func (s *BandStamps) UndoPop(b int) { s.pop[b].n.Add(-1) }
-
-// ReservePopMin claims a pop stamp on band b and enforces the min-side
-// inversion bound: with the claim already holding b's own value out of
-// the scan, the lowest band that still looks resident must be no more
-// than bound bands below b. ok=false means the claim was undone and the
-// caller must re-target (LowestResident names a band that qualifies).
-// On success inv is the inversion estimate recorded for this pop: the
-// band distance to the lowest resident band, 0 when nothing more urgent
-// was waiting. bound < 0 disables enforcement (the estimate is still
-// returned).
-func (s *BandStamps) ReservePopMin(b int, bound int64) (inv int64, ok bool) {
+// ReserveBandPop claims a pop stamp on band b and enforces the inversion
+// bound toward one end: with the claim already holding b's own value out
+// of the scan, the resident band nearest that end (the lowest for a
+// PopMin, low set; the highest for a PopMax) must be no more than bound
+// bands past b. ok=false means the claim was undone and the caller must
+// re-target (EdgeResident names a band that qualifies). On success inv
+// is the inversion estimate recorded for this pop: the band distance to
+// that edge band, 0 when nothing nearer the end was waiting. bound < 0
+// disables enforcement (the estimate is still returned).
+func (s *Stamps) ReserveBandPop(b int, bound int64, low bool) (inv int64, ok bool) {
 	s.pop[b].n.Add(1)
-	for j := 0; j < b; j++ {
-		if s.push[j].n.Load()-s.pop[j].n.Load() > 0 {
-			inv = int64(b - j)
-			break
+	if e := s.EdgeResident(low); e >= 0 {
+		inv = int64(e - b)
+		if low {
+			inv = -inv
 		}
+		inv = max(inv, 0) // the edge lies beyond b: nothing was skipped
 	}
 	if bound >= 0 && inv > bound {
 		s.pop[b].n.Add(-1)
 		return 0, false
 	}
 	return inv, true
-}
-
-// ReservePopMax mirrors ReservePopMin toward higher bands: the claim is
-// rejected when a band more than bound bands above b still looks
-// resident — a shedder must not reach past the most shed-able backlog.
-func (s *BandStamps) ReservePopMax(b int, bound int64) (inv int64, ok bool) {
-	s.pop[b].n.Add(1)
-	for j := len(s.push) - 1; j > b; j-- {
-		if s.push[j].n.Load()-s.pop[j].n.Load() > 0 {
-			inv = int64(j - b)
-			break
-		}
-	}
-	if bound >= 0 && inv > bound {
-		s.pop[b].n.Add(-1)
-		return 0, false
-	}
-	return inv, true
-}
-
-// LowestResident returns the lowest band with a positive resident
-// estimate, or -1 when every band looks empty — the window anchor for a
-// PopMin sweep.
-func (s *BandStamps) LowestResident() int {
-	for j := range s.push {
-		if s.push[j].n.Load()-s.pop[j].n.Load() > 0 {
-			return j
-		}
-	}
-	return -1
-}
-
-// HighestResident mirrors LowestResident for PopMax.
-func (s *BandStamps) HighestResident() int {
-	for j := len(s.push) - 1; j >= 0; j-- {
-		if s.push[j].n.Load()-s.pop[j].n.Load() > 0 {
-			return j
-		}
-	}
-	return -1
-}
-
-// PickIn fills dst with d distinct indices drawn uniformly from [0, n)
-// (reusing dst's capacity) and returns it — Pick over a caller-supplied
-// width, for sampling inside a band window whose size changes per sweep.
-// d >= n degenerates to all indices in order.
-func (s *Sampler) PickIn(n, d int, dst []int) []int {
-	dst = dst[:0]
-	if d >= n {
-		for i := 0; i < n; i++ {
-			dst = append(dst, i)
-		}
-		return dst
-	}
-	for len(dst) < d {
-		c := s.rng.Intn(n)
-	probe:
-		for {
-			for _, have := range dst {
-				if have == c {
-					c = (c + 1) % n
-					continue probe
-				}
-			}
-			break
-		}
-		dst = append(dst, c)
-	}
-	return dst
 }

@@ -3,18 +3,15 @@ package shard
 import "testing"
 
 func TestBandStampsReservation(t *testing.T) {
-	s := NewBandStamps(8)
-	if s.Bands() != 8 {
-		t.Fatalf("Bands = %d, want 8", s.Bands())
-	}
-	if s.LowestResident() != -1 || s.HighestResident() != -1 {
+	s := NewStamps(8)
+	if s.EdgeResident(true) != -1 || s.EdgeResident(false) != -1 {
 		t.Fatal("fresh stamps must report no resident band")
 	}
 
-	s.ReservePush(3)
-	s.ReservePush(6)
-	if s.LowestResident() != 3 || s.HighestResident() != 6 {
-		t.Fatalf("resident window = [%d, %d], want [3, 6]", s.LowestResident(), s.HighestResident())
+	s.AddPush(3, 1)
+	s.AddPush(6, 1)
+	if s.EdgeResident(true) != 3 || s.EdgeResident(false) != 6 {
+		t.Fatalf("resident window = [%d, %d], want [3, 6]", s.EdgeResident(true), s.EdgeResident(false))
 	}
 	if s.Resident(3) != 1 || s.Resident(0) != 0 {
 		t.Fatalf("Resident(3)=%d Resident(0)=%d, want 1/0", s.Resident(3), s.Resident(0))
@@ -22,44 +19,44 @@ func TestBandStampsReservation(t *testing.T) {
 
 	// Min side: band 3 is the lowest resident, so popping band 6 skips 3
 	// bands — rejected under bound 2, admitted (and estimated) under 3.
-	if _, ok := s.ReservePopMin(6, 2); ok {
-		t.Fatal("ReservePopMin(6, bound 2) must reject with band 3 resident")
+	if _, ok := s.ReserveBandPop(6, 2, true); ok {
+		t.Fatal("ReserveBandPop(6, low, bound 2) must reject with band 3 resident")
 	}
 	if s.Resident(6) != 1 {
 		t.Fatal("rejected reservation must undo its pop stamp")
 	}
-	if inv, ok := s.ReservePopMin(6, 3); !ok || inv != 3 {
-		t.Fatalf("ReservePopMin(6, bound 3) = (%d, %v), want (3, true)", inv, ok)
+	if inv, ok := s.ReserveBandPop(6, 3, true); !ok || inv != 3 {
+		t.Fatalf("ReserveBandPop(6, low, bound 3) = (%d, %v), want (3, true)", inv, ok)
 	}
 	s.UndoPop(6)
 
 	// The claim holds the target band's own value out of the scan: band 3
 	// popping itself sees no lower resident work, inversion 0, any bound.
-	if inv, ok := s.ReservePopMin(3, 0); !ok || inv != 0 {
-		t.Fatalf("ReservePopMin(3, bound 0) = (%d, %v), want (0, true)", inv, ok)
+	if inv, ok := s.ReserveBandPop(3, 0, true); !ok || inv != 0 {
+		t.Fatalf("ReserveBandPop(3, low, bound 0) = (%d, %v), want (0, true)", inv, ok)
 	}
 	s.UndoPop(3)
 
 	// Max side mirrors: band 6 is the highest resident, so popping band 3
 	// reaches 3 bands past it.
-	if _, ok := s.ReservePopMax(3, 2); ok {
-		t.Fatal("ReservePopMax(3, bound 2) must reject with band 6 resident")
+	if _, ok := s.ReserveBandPop(3, 2, false); ok {
+		t.Fatal("ReserveBandPop(3, high, bound 2) must reject with band 6 resident")
 	}
-	if inv, ok := s.ReservePopMax(3, -1); !ok || inv != 3 {
-		t.Fatalf("ReservePopMax(3, unbounded) = (%d, %v), want (3, true)", inv, ok)
+	if inv, ok := s.ReserveBandPop(3, -1, false); !ok || inv != 3 {
+		t.Fatalf("ReserveBandPop(3, high, unbounded) = (%d, %v), want (3, true)", inv, ok)
 	}
 	s.UndoPop(3)
 
 	// UndoPush returns a failed push's stamp: band 6 stops looking
 	// resident and the min-side scan past band 3 unblocks... at band 3.
 	s.UndoPush(6)
-	if s.HighestResident() != 3 {
-		t.Fatalf("HighestResident after UndoPush(6) = %d, want 3", s.HighestResident())
+	if s.EdgeResident(false) != 3 {
+		t.Fatalf("EdgeResident(high) after UndoPush(6) = %d, want 3", s.EdgeResident(false))
 	}
 }
 
 func TestSamplerPickIn(t *testing.T) {
-	s := NewSampler(16, 0x9e3779b97f4a7c15)
+	s := NewSampler(0x9e3779b97f4a7c15)
 	var dst []int
 	for n := 1; n <= 8; n++ {
 		for d := 1; d <= n+2; d++ {

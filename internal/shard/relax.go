@@ -7,11 +7,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file is the accounting brain of the relaxed front-end (the public
-// deque.Relaxed[T]): per-shard operation stamps, the segment-window
-// reservation protocol that enforces a configured worst-case rank-error
-// bound, and the d-choice sampler that picks which shards an operation
-// even looks at.
+// This file is the accounting brain shared by the two relaxed pool
+// front-ends (the public deque.Relaxed[T] and deque.DEPQ[T]): one table
+// of per-shard push and pop stamps with its residency scans, and the
+// d-choice sampler that picks which shards an operation even looks at.
+// Relaxed enforces a rank-error bound over the table with the segment
+// windows below; DEPQ treats each shard as a priority band and enforces
+// an inversion bound with the band reservation in band.go.
 //
 // # The window argument, in one paragraph
 //
@@ -40,7 +42,7 @@ type stampCtr struct {
 
 // Stamps tracks per-shard push and pop sequence counters for a relaxed
 // pool front-end. All methods are safe for concurrent use; counters are
-// monotone except for the transient -1 dips of an undone reservation.
+// monotone except for the transient dips of an undone reservation.
 type Stamps struct {
 	push []stampCtr
 	pop  []stampCtr
@@ -62,9 +64,6 @@ func NewStamps(n int) *Stamps {
 	return &Stamps{push: make([]stampCtr, n), pop: make([]stampCtr, n)}
 }
 
-// Shards returns the shard count the stamps were built for.
-func (s *Stamps) Shards() int { return len(s.push) }
-
 // PushCount returns shard i's push stamp.
 func (s *Stamps) PushCount(i int) int64 { return s.push[i].n.Load() }
 
@@ -74,6 +73,63 @@ func (s *Stamps) PopCount(i int) int64 { return s.pop[i].n.Load() }
 // Resident returns shard i's stamp-derived resident estimate (pushes
 // minus pops; transiently negative under in-flight reservations).
 func (s *Stamps) Resident(i int) int64 { return s.push[i].n.Load() - s.pop[i].n.Load() }
+
+// AddPush adjusts shard i's push stamp by n: DEPQ reserves a push with
+// AddPush(b, 1) before the push executes, and Relaxed returns the unused
+// tail of a partially-landed batch (negative n).
+func (s *Stamps) AddPush(i int, n int64) { s.push[i].n.Add(n) }
+
+// UndoPush returns an unused push reservation (the push itself failed,
+// e.g. ErrFull).
+func (s *Stamps) UndoPush(i int) { s.push[i].n.Add(-1) }
+
+// AddPop adjusts shard i's pop stamp by n (negative to return the unused
+// tail of a batch reservation).
+func (s *Stamps) AddPop(i int, n int64) { s.pop[i].n.Add(n) }
+
+// UndoPop returns an unused pop reservation (the shard turned out empty).
+func (s *Stamps) UndoPop(i int) { s.pop[i].n.Add(-1) }
+
+// minPopResident returns the resident shard with the smallest pop count,
+// and that count; ok is false when no shard looks resident.
+func (s *Stamps) minPopResident() (shard int, pops int64, ok bool) {
+	for j := range s.pop {
+		po := s.pop[j].n.Load()
+		if s.push[j].n.Load()-po <= 0 {
+			continue // empty (or transiently over-reserved): not owed pops
+		}
+		if !ok || po < pops {
+			shard, pops, ok = j, po, true
+		}
+	}
+	return shard, pops, ok
+}
+
+// ArgMinPopResident returns the resident shard with the smallest pop
+// count — the lagging backlog a window-rejected pop should drain. ok is
+// false when no shard looks resident.
+func (s *Stamps) ArgMinPopResident() (int, bool) {
+	j, _, ok := s.minPopResident()
+	return j, ok
+}
+
+// EdgeResident returns the resident shard nearest one end of the index
+// range — the lowest when low is set, else the highest — or -1 when
+// every shard looks empty. DEPQ anchors a PopMin (low) or PopMax window
+// there.
+func (s *Stamps) EdgeResident(low bool) int {
+	k := len(s.push)
+	for i := 0; i < k; i++ {
+		j := i
+		if !low {
+			j = k - 1 - i
+		}
+		if s.Resident(j) > 0 {
+			return j
+		}
+	}
+	return -1
+}
 
 // ReservePush claims the next push stamp on shard i, enforcing the push
 // window: the claimed index must stay within window of the smallest push
@@ -115,14 +171,6 @@ func (s *Stamps) ReservePushN(i int, n, window int64) (seq int64, ok bool) {
 	return 0, false
 }
 
-// UndoPush returns an unused push reservation (the push itself failed,
-// e.g. ErrFull).
-func (s *Stamps) UndoPush(i int) { s.push[i].n.Add(-1) }
-
-// AddPush adjusts shard i's push stamp by n; used to return the unused
-// tail of a partially-landed batch (negative n).
-func (s *Stamps) AddPush(i int, n int64) { s.push[i].n.Add(n) }
-
 // ReservePop claims the next pop stamp on shard i, enforcing the pop
 // window: the claimed index must stay within window of the smallest pop
 // count over shards that still look resident — a shard with backlog must
@@ -141,35 +189,14 @@ func (s *Stamps) ReservePopN(i int, n, window int64) (seq int64, ok bool) {
 	if window <= 0 {
 		return q, true
 	}
-	head := q - n
-	min, any := int64(0), false
-	for j := range s.pop {
-		po := s.pop[j].n.Load()
-		if s.push[j].n.Load()-po <= 0 {
-			continue // empty (or transiently over-reserved): not owed pops
-		}
-		if !any || po < min {
-			min, any = po, true
-		}
-	}
-	if !any {
-		// Nothing looks resident anywhere: there is no older backlog a
-		// pop here could strand, so the window is trivially satisfied.
-		return q, true
-	}
-	if head <= min+window {
+	// Nothing resident anywhere means there is no older backlog a pop
+	// here could strand, so the window is trivially satisfied.
+	if _, floor, ok := s.minPopResident(); !ok || q-n <= floor+window {
 		return q, true
 	}
 	s.pop[i].n.Add(-n)
 	return 0, false
 }
-
-// UndoPop returns an unused pop reservation (the shard turned out empty).
-func (s *Stamps) UndoPop(i int) { s.pop[i].n.Add(-1) }
-
-// AddPop adjusts shard i's pop stamp by n (negative to return the unused
-// tail of a batch reservation).
-func (s *Stamps) AddPop(i int, n int64) { s.pop[i].n.Add(n) }
 
 // ArgMinPush returns the shard with the smallest push count — the shard
 // a window-rejected push should route to.
@@ -181,23 +208,6 @@ func (s *Stamps) ArgMinPush() int {
 		}
 	}
 	return best
-}
-
-// ArgMinPopResident returns the resident shard with the smallest pop
-// count — the lagging backlog a window-rejected pop should drain. ok is
-// false when no shard looks resident.
-func (s *Stamps) ArgMinPopResident() (int, bool) {
-	best, bestN, any := 0, int64(0), false
-	for j := range s.pop {
-		po := s.pop[j].n.Load()
-		if s.push[j].n.Load()-po <= 0 {
-			continue
-		}
-		if !any || po < bestN {
-			best, bestN, any = j, po, true
-		}
-	}
-	return best, any
 }
 
 // RankEstimate bounds the rank error of the pop holding shard j's pop
@@ -227,38 +237,39 @@ func (s *Stamps) RankEstimate(j int, q int64) int64 {
 	return e
 }
 
-// Sampler draws the d-choice shard samples for one relaxed handle. Not
-// safe for concurrent use — each handle owns one, seeded distinctly so a
+// Sampler draws the d-choice samples for one front-end handle. Not safe
+// for concurrent use — each handle owns one, seeded distinctly so a
 // fleet of handles does not sample in lockstep.
 type Sampler struct {
 	rng *xrand.Xoshiro256
-	n   int
 }
 
-// NewSampler returns a sampler over n shards.
-func NewSampler(n int, seed uint64) Sampler {
-	return Sampler{rng: xrand.NewXoshiro256(seed), n: n}
+// NewSampler returns a sampler seeded with seed.
+func NewSampler(seed uint64) Sampler {
+	return Sampler{rng: xrand.NewXoshiro256(seed)}
 }
 
-// Pick fills dst with d distinct shard indices drawn uniformly (reusing
-// dst's capacity) and returns it. d >= n degenerates to all shards; a
-// duplicate draw is resolved by walking to the next free index, which
-// keeps Pick allocation-free and O(d^2) — d is 2 in practice.
-func (s *Sampler) Pick(d int, dst []int) []int {
+// PickIn fills dst with d distinct indices drawn uniformly from [0, n)
+// (reusing dst's capacity) and returns it. Relaxed samples over every
+// shard; DEPQ samples inside a band window whose width changes per
+// sweep. d >= n degenerates to all indices in order; a duplicate draw
+// is resolved by walking to the next free index, which keeps PickIn
+// allocation-free and O(d^2) — d is 2 in practice.
+func (s *Sampler) PickIn(n, d int, dst []int) []int {
 	dst = dst[:0]
-	if d >= s.n {
-		for i := 0; i < s.n; i++ {
+	if d >= n {
+		for i := 0; i < n; i++ {
 			dst = append(dst, i)
 		}
 		return dst
 	}
 	for len(dst) < d {
-		c := s.rng.Intn(s.n)
+		c := s.rng.Intn(n)
 	probe:
 		for {
 			for _, have := range dst {
 				if have == c {
-					c = (c + 1) % s.n
+					c = (c + 1) % n
 					continue probe
 				}
 			}

@@ -168,17 +168,17 @@ func TestReserveConcurrentWithinSlack(t *testing.T) {
 }
 
 func TestSamplerPick(t *testing.T) {
-	smp := NewSampler(5, 42)
+	smp := NewSampler(42)
 	seen := make(map[int]bool)
 	var dst []int
 	for trial := 0; trial < 200; trial++ {
-		dst = smp.Pick(2, dst)
+		dst = smp.PickIn(5, 2, dst)
 		if len(dst) != 2 || dst[0] == dst[1] {
-			t.Fatalf("Pick(2) = %v, want 2 distinct indices", dst)
+			t.Fatalf("PickIn(5, 2) = %v, want 2 distinct indices", dst)
 		}
 		for _, c := range dst {
 			if c < 0 || c >= 5 {
-				t.Fatalf("Pick returned out-of-range index %d", c)
+				t.Fatalf("PickIn returned out-of-range index %d", c)
 			}
 			seen[c] = true
 		}
@@ -187,8 +187,8 @@ func TestSamplerPick(t *testing.T) {
 		t.Fatalf("200 draws touched only %d of 5 shards", len(seen))
 	}
 	// d >= n degenerates to the full scan.
-	dst = smp.Pick(9, dst)
+	dst = smp.PickIn(5, 9, dst)
 	if len(dst) != 5 {
-		t.Fatalf("Pick(9) over 5 shards = %v, want all 5", dst)
+		t.Fatalf("PickIn(5, 9) = %v, want all 5", dst)
 	}
 }

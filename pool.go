@@ -17,7 +17,7 @@ import (
 // stealAttempts bounds each steal leg: a victim shard gets this many retry
 // cycles (Handle.TryPop*) before the leg gives up with ErrContended. A
 // bounded leg keeps one hot victim from capturing the thief forever; the
-// sweep loop in steal decides whether the failure means "empty" or "retry
+// certify loop decides whether the failure means "empty" or "retry
 // later".
 const stealAttempts = 64
 
@@ -94,11 +94,6 @@ func ParseRouting(s string) (RoutePolicy, error) {
 	}
 	return p, nil
 }
-
-// ParseRoutePolicy is the original name of ParseRouting.
-//
-// Deprecated: use ParseRouting, which mirrors ParseReclamation.
-func ParseRoutePolicy(s string) (RoutePolicy, error) { return ParseRouting(s) }
 
 // poolOptions collects pool construction parameters.
 type poolOptions struct {
@@ -298,15 +293,16 @@ type PoolHandle[T any] struct {
 	router shard.Router
 	order  []int           // steal-order scratch
 	snap   []int           // load-snapshot scratch
-	bo     backoff.Backoff // jittered wait between contended steal sweeps
+	bo     backoff.Backoff // jittered wait between uncertified sweeps
 
 	lat     *obs.LatRec // pool-level latency histograms (pool_op, steal_sweep)
 	latTick uint32      // countdown for pool_op sampling
 
-	// stealResweeps counts sweeps that ended contended-but-uncertified and
-	// were retried after a backoff wait. Exposed (package-private) so tests
-	// can pin the backoff-between-sweeps behavior.
-	stealResweeps uint64
+	// resweeps counts certify sweeps that ended blocked or contended and
+	// were retried after a backoff wait — steals here, and the Relaxed and
+	// DEPQ pops that run on this handle. Package-private so tests can pin
+	// the backoff-between-sweeps behavior.
+	resweeps uint64
 
 	// stealProbe is a test seam: when non-nil, steal consults it before
 	// each leg's real pop, and an ErrContended return stands in for a Try
@@ -408,28 +404,128 @@ func (h *PoolHandle[T]) PushRightCtx(ctx context.Context, key uint64, v T) error
 	return err
 }
 
+// legResult is one leg's outcome in a certify sweep.
+type legResult uint8
+
+const (
+	legEmpty   legResult = iota // the leg's shard was observed empty
+	legBlocked                  // bound- or window-blocked, or contended: emptiness unknown
+	legDone                     // the leg took a value or hit an error: the operation is over
+)
+
+// inOrder is the identity sweep order.
+func inOrder(i int) int { return i }
+
+// certify is the probe-then-certify loop of every multi-shard pop: the
+// pool's steal, and the Relaxed and DEPQ pops. Each sweep tries the
+// probe target (probe is called once per sweep; -1 means none), then
+// at(0), ..., at(n-1), skipping the probe. A leg returning legDone ends
+// the loop. A sweep whose every leg came up empty certifies emptiness:
+// the documented contract is that ok=false means every shard came up
+// empty at the moment it was tried, and a blocked or contended shard was
+// never observed empty. Such a sweep is retried, but only after a
+// jittered exponential backoff wait (h.bo): under an all-shards-blocked
+// storm the caller cools off instead of hammering full sweeps back to
+// back, which both bounds the cache-line traffic it adds and gives the
+// shards' own consumers room to drain.
+//
+// ctx (nil for none) is consulted only between sweeps, never inside a
+// leg, so the returned error is non-nil only when ctx expired while
+// emptiness was still uncertifiable. The legs report what they took
+// through the variables their closures capture.
+func (h *PoolHandle[T]) certify(ctx context.Context, n int, probe func() int,
+	at func(i int) int, leg func(j int) legResult) error {
+	h.bo.Reset()
+	for {
+		p, r := probe(), legEmpty
+		if p >= 0 {
+			r = leg(p)
+		}
+		blocked := r == legBlocked
+		for i := 0; i < n && r != legDone; i++ {
+			if j := at(i); j != p {
+				r = leg(j)
+				blocked = blocked || r == legBlocked
+			}
+		}
+		if r == legDone || !blocked {
+			return nil // a value (or an error) was taken, or every leg certified empty
+		}
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		h.resweeps++
+		h.bo.Spin()
+	}
+}
+
+// pushEnd pushes v at the left or right end of h, through the Ctx variant
+// when ctx is non-nil.
+func (h *Handle[T]) pushEnd(ctx context.Context, v T, left bool) error {
+	switch {
+	case ctx != nil && left:
+		return h.PushLeftCtx(ctx, v)
+	case ctx != nil:
+		return h.PushRightCtx(ctx, v)
+	case left:
+		return h.PushLeft(v)
+	}
+	return h.PushRight(v)
+}
+
+// popEnd mirrors pushEnd for pops.
+func (h *Handle[T]) popEnd(ctx context.Context, left bool) (v T, ok bool, err error) {
+	switch {
+	case ctx != nil && left:
+		return h.PopLeftCtx(ctx)
+	case ctx != nil:
+		return h.PopRightCtx(ctx)
+	case left:
+		v, ok = h.PopLeft()
+	default:
+		v, ok = h.PopRight()
+	}
+	return v, ok, nil
+}
+
+// stealOrder refreshes h.order from a fresh load snapshot with every
+// shard except home, most-loaded first, and returns the first victim (-1
+// when there is none). Estimates may be stale, so the zero-estimate
+// shards follow in index order: only a sweep over all of them certifies
+// emptiness.
+func (h *PoolHandle[T]) stealOrder(home int) int {
+	n := len(h.hs)
+	if cap(h.snap) < n {
+		h.snap = make([]int, n)
+	}
+	snap := h.snap[:n]
+	for i := range snap {
+		snap[i] = h.load(i)
+	}
+	h.order = shard.StealOrder(h.order, snap, home)
+	for j, l := range snap {
+		if j != home && l <= 0 {
+			h.order = append(h.order, j)
+		}
+	}
+	if len(h.order) == 0 {
+		return -1
+	}
+	return h.order[0]
+}
+
 // steal tries every other shard in most-loaded-first order, popping from
 // the side opposite the request (a left pop steals with right pops and
-// vice versa) so thieves avoid the victims' hot ends. The load-ordered
-// pass is best-effort; a full sweep certifies emptiness, since estimates
-// can be stale.
+// vice versa) so thieves avoid the victims' hot ends. The sweep runs
+// under certify.
 //
 // Each leg is a bounded Try pop (stealAttempts retry cycles), so one hot
 // victim cannot capture the thief indefinitely. A leg that spends its
-// whole budget (ErrContended) leaves that shard's emptiness unknown — the
-// documented contract is that ok=false means every shard came up empty at
-// the moment it was tried, and a contended shard was never observed empty.
-// Such a sweep is retried, but only after a jittered exponential backoff
-// wait (h.bo): under an all-shards-contended storm the thief cools off
-// instead of hammering full sweeps back to back, which both bounds the
-// cache-line traffic it adds to the storm and gives the shards' own
-// consumers room to drain. A sweep that finds a value or observes every
-// shard empty ends the loop.
-//
-// The Ctx pop variants pass their context through: it is consulted only
-// between sweeps (a cancelled context aborts the retry loop, never an
-// individual leg), so err is non-nil only when ctx expired while emptiness
-// was still uncertifiable.
+// whole budget (ErrContended) leaves that shard's emptiness unknown, so
+// certify retries the sweep after a backoff wait. The Ctx pop variants
+// pass their context through to certify.
 func (h *PoolHandle[T]) steal(home int, left bool) (v T, ok bool) {
 	v, ok, _ = h.stealCtx(nil, home, left)
 	return v, ok
@@ -440,24 +536,11 @@ func (h *PoolHandle[T]) stealCtx(ctx context.Context, home int, left bool) (v T,
 	// first sweep to value / certified-empty / ctx abort.
 	st := h.latNow()
 	defer h.latEnd(obs.LatStealSweep, st)
-	n := len(h.hs)
-	if cap(h.snap) < n {
-		h.snap = make([]int, n)
-	}
-	snap := h.snap[:n]
-	h.bo.Reset()
-	for {
-		for i := range snap {
-			snap[i] = h.load(i)
-		}
-		h.order = shard.StealOrder(h.order, snap, home)
-		contended := false
-		tryShard := func(j int) bool {
-			if h.stealProbe != nil {
-				if perr := h.stealProbe(j); perr != nil {
-					contended = true
-					return false
-				}
+	err = h.certify(ctx, len(h.hs)-1, func() int { return h.stealOrder(home) },
+		func(i int) int { return h.order[i] },
+		func(j int) legResult {
+			if h.stealProbe != nil && h.stealProbe(j) != nil {
+				return legBlocked
 			}
 			var terr error
 			if left {
@@ -465,40 +548,16 @@ func (h *PoolHandle[T]) stealCtx(ctx context.Context, home int, left bool) (v T,
 			} else {
 				v, ok, terr = h.hs[j].TryPopLeft(stealAttempts)
 			}
-			if terr != nil {
-				contended = true // budget spent racing: emptiness unknown
-				return false
+			switch {
+			case terr != nil:
+				return legBlocked // budget spent racing: emptiness unknown
+			case !ok:
+				return legEmpty
 			}
-			if ok {
-				h.note(j, -1)
-			}
-			return ok
-		}
-		for _, j := range h.order {
-			if tryShard(j) {
-				return v, true, nil
-			}
-		}
-		// Estimates may have missed a non-empty shard; sweep the rest.
-		for j := 0; j < n; j++ {
-			if j == home || snap[j] > 0 {
-				continue // snap[j] > 0 was already tried above
-			}
-			if tryShard(j) {
-				return v, true, nil
-			}
-		}
-		if !contended {
-			return v, false, nil // every shard certified empty this sweep
-		}
-		if ctx != nil {
-			if err = ctx.Err(); err != nil {
-				return v, false, err
-			}
-		}
-		h.stealResweeps++
-		h.bo.Spin()
-	}
+			h.note(j, -1)
+			return legDone
+		})
+	return v, ok, err
 }
 
 // PopLeft pops from the left end of the routed shard, stealing from the
@@ -599,45 +658,25 @@ func (h *PoolHandle[T]) PushRightN(key uint64, vs []T) (int, error) {
 
 // stealN drains up to len(dst) values from the first non-empty victim's
 // opposite end. One victim per call: a stolen batch is contiguous in its
-// source shard.
-func (h *PoolHandle[T]) stealN(home int, left bool, dst []T) int {
+// source shard. Batch legs never block, so certify makes one sweep.
+func (h *PoolHandle[T]) stealN(home int, left bool, dst []T) (got int) {
 	st := h.latNow()
 	defer h.latEnd(obs.LatStealSweep, st)
-	n := len(h.hs)
-	if cap(h.snap) < n {
-		h.snap = make([]int, n)
-	}
-	snap := h.snap[:n]
-	for i := range snap {
-		snap[i] = h.load(i)
-	}
-	h.order = shard.StealOrder(h.order, snap, home)
-	tryShard := func(j int) int {
-		var got int
-		if left {
-			got = h.hs[j].PopRightN(dst)
-		} else {
-			got = h.hs[j].PopLeftN(dst)
-		}
-		if got > 0 {
+	h.certify(nil, len(h.hs)-1, func() int { return h.stealOrder(home) },
+		func(i int) int { return h.order[i] },
+		func(j int) legResult {
+			if left {
+				got = h.hs[j].PopRightN(dst)
+			} else {
+				got = h.hs[j].PopLeftN(dst)
+			}
+			if got == 0 {
+				return legEmpty
+			}
 			h.note(j, -int64(got))
-		}
-		return got
-	}
-	for _, j := range h.order {
-		if got := tryShard(j); got > 0 {
-			return got
-		}
-	}
-	for j := 0; j < n; j++ {
-		if j == home || snap[j] > 0 {
-			continue
-		}
-		if got := tryShard(j); got > 0 {
-			return got
-		}
-	}
-	return 0
+			return legDone
+		})
+	return got
 }
 
 // PopLeftN pops up to len(dst) values from the left end of the routed

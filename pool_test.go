@@ -41,10 +41,6 @@ func TestPoolConstructionValidation(t *testing.T) {
 		if _, err := ParseRouting(s); err != nil {
 			t.Fatalf("ParseRouting(%q): %v", s, err)
 		}
-		// The deprecated alias must keep answering identically.
-		if _, err := ParseRoutePolicy(s); err != nil {
-			t.Fatalf("ParseRoutePolicy(%q): %v", s, err)
-		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -434,9 +430,9 @@ func TestPoolStealContendedSweepBacksOff(t *testing.T) {
 	if v, ok := h.PopLeft(thiefKey); !ok || v != 41 {
 		t.Fatalf("steal through contention storm = %d, %v; want 41", v, ok)
 	}
-	if h.stealResweeps != storm {
-		t.Fatalf("stealResweeps = %d, want %d (one backoff wait per contended sweep)",
-			h.stealResweeps, storm)
+	if h.resweeps != storm {
+		t.Fatalf("resweeps = %d, want %d (one backoff wait per contended sweep)",
+			h.resweeps, storm)
 	}
 	if w := h.bo.Window(); w <= backoff.DefaultMinSpins {
 		t.Fatalf("backoff window = %d after %d contended sweeps, want growth past %d",
@@ -454,22 +450,22 @@ func TestPoolStealContendedSweepBacksOff(t *testing.T) {
 		}
 		return nil
 	}
-	before := h.stealResweeps
+	before := h.resweeps
 	if _, ok := h.PopLeft(thiefKey); ok {
 		t.Fatal("pop on empty pool reported a value")
 	}
-	if got := h.stealResweeps - before; got != storm {
+	if got := h.resweeps - before; got != storm {
 		t.Fatalf("empty pop resweeps = %d, want %d", got, storm)
 	}
 
 	// A quiet steal certifies emptiness in one sweep: no backoff waits.
 	h.stealProbe = nil
-	before = h.stealResweeps
+	before = h.resweeps
 	if _, ok := h.PopLeft(thiefKey); ok {
 		t.Fatal("pop on empty pool reported a value")
 	}
-	if h.stealResweeps != before {
-		t.Fatalf("uncontended empty pop backed off %d times", h.stealResweeps-before)
+	if h.resweeps != before {
+		t.Fatalf("uncontended empty pop backed off %d times", h.resweeps-before)
 	}
 }
 
@@ -496,5 +492,30 @@ func TestPoolStealCtxAbortsContendedStorm(t *testing.T) {
 	}
 	if calls < 3 {
 		t.Fatalf("probe saw %d sweeps before cancellation surfaced", calls)
+	}
+}
+
+// TestSweepPathsDoNotAllocate pins the certify loop's closures to the
+// stack: every pop that runs a probe-then-certify sweep — the relaxed and
+// DEPQ pops, and a pool pop that falls back to a steal sweep — stays at
+// zero heap allocations per operation once the handle is warm.
+func TestSweepPathsDoNotAllocate(t *testing.T) {
+	q := NewDEPQ[int](WithBands(4), WithBandBound(1))
+	qh := q.Register()
+	r := NewRelaxed[int](4, WithRelaxation(2))
+	rh := r.Register()
+	ph := NewPool[int](4).Register()
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"depq push+popmin", func() { _ = qh.Push(1, 2); qh.PopMin() }},
+		{"depq push+popmax", func() { _ = qh.Push(1, 2); qh.PopMax() }},
+		{"relaxed pushleft+popright", func() { _ = rh.PushLeft(1); rh.PopRight() }},
+		{"pool pop on empty pool", func() { ph.PopLeft(0) }},
+	} {
+		if n := testing.AllocsPerRun(200, c.op); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
 	}
 }

@@ -47,8 +47,8 @@ type Relaxed[T any] struct {
 	bound  int64 // configured worst-case rank error; 0 = unbounded
 	seg    int64 // enforcement window; 0 = no enforcement
 	stamps *shard.Stamps
-	reg    obs.RelaxRegistry
-	seed   atomic.Uint64 // staggers per-handle sampler streams
+	reg    obs.DistRegistry // per-pop rank-error estimates
+	seed   atomic.Uint64    // staggers per-handle sampler streams
 }
 
 // relaxedOptions collects Relaxed construction parameters.
@@ -188,7 +188,8 @@ func (r *Relaxed[T]) SetFlightDump(w io.Writer, minInterval time.Duration) {
 // configuration gauges. All zero under strict passthrough or the obsoff
 // build tag (the estimate is skipped, the structure still relaxes).
 func (r *Relaxed[T]) RelaxMetrics() RelaxMetrics {
-	m := r.reg.Merge()
+	var m RelaxMetrics
+	r.reg.MergeInto(&m.Pops, &m.RankSum, &m.RankMax, m.RankHist[:])
 	m.Shards = uint64(r.pool.Shards())
 	m.Sample = uint64(r.d)
 	m.RankBound = uint64(r.bound)
@@ -203,8 +204,7 @@ func (r *Relaxed[T]) Register() *RelaxedHandle[T] {
 	h := &RelaxedHandle[T]{r: r, ph: r.pool.Register()}
 	if r.d > 0 {
 		h.rec = r.reg.NewRec()
-		h.smp = shard.NewSampler(r.pool.Shards(),
-			r.seed.Add(1)*0x9e3779b97f4a7c15+0x2545f4914f6cdd1d)
+		h.smp = shard.NewSampler(r.seed.Add(1)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d)
 	}
 	return h
 }
@@ -215,7 +215,7 @@ func (r *Relaxed[T]) Register() *RelaxedHandle[T] {
 type RelaxedHandle[T any] struct {
 	r     *Relaxed[T]
 	ph    *PoolHandle[T]
-	rec   *obs.RelaxRec
+	rec   *obs.DistRec
 	smp   shard.Sampler
 	picks []int // d-choice scratch
 }
@@ -223,20 +223,27 @@ type RelaxedHandle[T any] struct {
 // strict reports whether this handle delegates to the pool unchanged.
 func (h *RelaxedHandle[T]) strict() bool { return h.r.d == 0 }
 
+// sample returns the least-loaded of d sampled shards, or with most set
+// the most-loaded one.
+func (h *RelaxedHandle[T]) sample(most bool) int {
+	h.picks = h.smp.PickIn(h.r.pool.Shards(), h.r.d, h.picks)
+	best := h.picks[0]
+	for _, c := range h.picks[1:] {
+		l, b := h.ph.load(c), h.ph.load(best)
+		if most && l > b || !most && l < b {
+			best = c
+		}
+	}
+	return best
+}
+
 // choosePush picks the push target: least-loaded of d sampled shards,
 // overridden by the push window when the sample has run too far ahead
 // (the laggard shard then takes the push). Returns the reserved shard.
 func (h *RelaxedHandle[T]) choosePush(n int64) int {
-	st, seg := h.r.stamps, h.r.seg
-	h.picks = h.smp.Pick(h.r.d, h.picks)
-	best := h.picks[0]
-	for _, c := range h.picks[1:] {
-		if h.ph.load(c) < h.ph.load(best) {
-			best = c
-		}
-	}
+	st, best := h.r.stamps, h.sample(false)
 	for {
-		if _, ok := st.ReservePushN(best, n, seg); ok {
+		if _, ok := st.ReservePushN(best, n, h.r.seg); ok {
 			return best
 		}
 		// Window rejected the sample: route to the laggard. The retry
@@ -249,18 +256,7 @@ func (h *RelaxedHandle[T]) choosePush(n int64) int {
 
 func (h *RelaxedHandle[T]) push(ctx context.Context, v T, left bool) error {
 	i := h.choosePush(1)
-	var err error
-	switch {
-	case ctx != nil && left:
-		err = h.ph.hs[i].PushLeftCtx(ctx, v)
-	case ctx != nil:
-		err = h.ph.hs[i].PushRightCtx(ctx, v)
-	case left:
-		err = h.ph.hs[i].PushLeft(v)
-	default:
-		err = h.ph.hs[i].PushRight(v)
-	}
-	if err != nil {
+	if err := h.ph.hs[i].pushEnd(ctx, v, left); err != nil {
 		h.r.stamps.UndoPush(i)
 		return err
 	}
@@ -302,78 +298,37 @@ func (h *RelaxedHandle[T]) PushRightCtx(ctx context.Context, v T) error {
 	return h.push(ctx, v, false)
 }
 
-// popShard reserves a pop stamp on shard i, attempts the pop, and either
-// records the rank estimate or undoes the stamp. blocked reports a
-// window rejection: shard i must not run further ahead of the laggard,
-// so the value (if any) must come from elsewhere this sweep.
-func (h *RelaxedHandle[T]) popShard(ctx context.Context, i int, left bool) (v T, ok, blocked bool, err error) {
-	st := h.r.stamps
-	q, reserved := st.ReservePop(i, h.r.seg)
-	if !reserved {
-		return v, false, true, nil
-	}
-	switch {
-	case ctx != nil && left:
-		v, ok, err = h.ph.hs[i].PopLeftCtx(ctx)
-	case ctx != nil:
-		v, ok, err = h.ph.hs[i].PopRightCtx(ctx)
-	case left:
-		v, ok = h.ph.hs[i].PopLeft()
-	default:
-		v, ok = h.ph.hs[i].PopRight()
-	}
-	if !ok {
-		st.UndoPop(i)
-		return v, false, false, err
-	}
-	h.ph.note(i, -1)
-	if h.rec != nil && obs.Enabled {
-		h.rec.Record(uint64(st.RankEstimate(i, q)))
-	}
-	return v, true, false, nil
-}
-
-// pop drives the relaxed pop: try the most-loaded of d sampled shards,
-// then sweep every shard to certify emptiness, retrying (with the pool
-// handle's jittered backoff) while any shard was window-blocked — a
-// blocked shard holds values, so "empty" cannot be certified past it.
+// pop drives the relaxed pop under certify: probe the most-loaded of d
+// sampled shards, then sweep every shard. Each leg reserves a pop stamp,
+// attempts the pop, and either records the rank estimate or undoes the
+// stamp. A window rejection blocks the leg: the shard must not run
+// further ahead of the laggard, and it holds values, so "empty" cannot
+// be certified past it.
 func (h *RelaxedHandle[T]) pop(ctx context.Context, left bool) (v T, ok bool, err error) {
-	n := h.r.pool.Shards()
-	h.ph.bo.Reset()
-	for {
-		h.picks = h.smp.Pick(h.r.d, h.picks)
-		best := h.picks[0]
-		for _, c := range h.picks[1:] {
-			if h.ph.load(c) > h.ph.load(best) {
-				best = c
+	st := h.r.stamps
+	cerr := h.ph.certify(ctx, h.r.pool.Shards(), func() int { return h.sample(true) }, inOrder,
+		func(i int) legResult {
+			q, reserved := st.ReservePop(i, h.r.seg)
+			if !reserved {
+				return legBlocked
 			}
-		}
-		anyBlocked := false
-		if v, ok, blocked, err := h.popShard(ctx, best, left); ok || err != nil {
-			return v, ok, err
-		} else if blocked {
-			anyBlocked = true
-		}
-		for j := 0; j < n; j++ {
-			if j == best {
-				continue
+			if v, ok, err = h.ph.hs[i].popEnd(ctx, left); !ok {
+				st.UndoPop(i)
+				if err != nil {
+					return legDone
+				}
+				return legEmpty
 			}
-			if v, ok, blocked, err := h.popShard(ctx, j, left); ok || err != nil {
-				return v, ok, err
-			} else if blocked {
-				anyBlocked = true
+			h.ph.note(i, -1)
+			if h.rec != nil && obs.Enabled {
+				h.rec.Record(uint64(st.RankEstimate(i, q)))
 			}
-		}
-		if !anyBlocked {
-			return v, false, nil // every shard certified empty this sweep
-		}
-		if ctx != nil {
-			if err = ctx.Err(); err != nil {
-				return v, false, err
-			}
-		}
-		h.ph.bo.Spin()
+			return legDone
+		})
+	if cerr != nil {
+		return v, false, cerr
 	}
+	return v, ok, err
 }
 
 // PopLeft pops from the left end of the most-loaded sampled shard,
@@ -457,64 +412,35 @@ func (h *RelaxedHandle[T]) PushRightN(vs []T) (int, error) {
 	return h.pushN(vs, false)
 }
 
-// popShardN drains up to len(dst) values from shard i under one batch
-// reservation, recording a single rank estimate for the batch head.
-func (h *RelaxedHandle[T]) popShardN(i int, dst []T, left bool) (got int, blocked bool) {
-	st := h.r.stamps
-	want := int64(len(dst))
-	q, reserved := st.ReservePopN(i, want, h.r.seg)
-	if !reserved {
-		return 0, true
-	}
-	if left {
-		got = h.ph.hs[i].PopLeftN(dst)
-	} else {
-		got = h.ph.hs[i].PopRightN(dst)
-	}
-	if int64(got) < want {
-		st.AddPop(i, int64(got)-want)
-	}
-	if got > 0 {
-		h.ph.note(i, -int64(got))
-		if h.rec != nil && obs.Enabled {
-			h.rec.Record(uint64(st.RankEstimate(i, q-want+1)))
-		}
-	}
-	return got, false
-}
-
-func (h *RelaxedHandle[T]) popN(dst []T, left bool) int {
-	n := h.r.pool.Shards()
-	h.ph.bo.Reset()
-	for {
-		h.picks = h.smp.Pick(h.r.d, h.picks)
-		best := h.picks[0]
-		for _, c := range h.picks[1:] {
-			if h.ph.load(c) > h.ph.load(best) {
-				best = c
+// popN is pop for a batch: each leg drains up to len(dst) values from
+// one shard under one batch reservation, recording a single rank
+// estimate for the batch head.
+func (h *RelaxedHandle[T]) popN(dst []T, left bool) (got int) {
+	st, want := h.r.stamps, int64(len(dst))
+	h.ph.certify(nil, h.r.pool.Shards(), func() int { return h.sample(true) }, inOrder,
+		func(i int) legResult {
+			q, reserved := st.ReservePopN(i, want, h.r.seg)
+			if !reserved {
+				return legBlocked
 			}
-		}
-		anyBlocked := false
-		if got, blocked := h.popShardN(best, dst, left); got > 0 {
-			return got
-		} else if blocked {
-			anyBlocked = true
-		}
-		for j := 0; j < n; j++ {
-			if j == best {
-				continue
+			if left {
+				got = h.ph.hs[i].PopLeftN(dst)
+			} else {
+				got = h.ph.hs[i].PopRightN(dst)
 			}
-			if got, blocked := h.popShardN(j, dst, left); got > 0 {
-				return got
-			} else if blocked {
-				anyBlocked = true
+			if int64(got) < want {
+				st.AddPop(i, int64(got)-want)
 			}
-		}
-		if !anyBlocked {
-			return 0
-		}
-		h.ph.bo.Spin()
-	}
+			if got == 0 {
+				return legEmpty
+			}
+			h.ph.note(i, -int64(got))
+			if h.rec != nil && obs.Enabled {
+				h.rec.Record(uint64(st.RankEstimate(i, q-want+1)))
+			}
+			return legDone
+		})
+	return got
 }
 
 // PopLeftN pops up to len(dst) values from the left end of one shard

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRelaxedConstructionValidation(t *testing.T) {
@@ -301,4 +302,40 @@ func TestRelaxedViews(t *testing.T) {
 	}
 	q.Flush()
 	st.Flush()
+}
+
+// TestRelaxedBlockedIsNotEmpty pins "blocked ≠ empty" for the relaxed
+// pop. With 2 shards and rank bound 4 the pop window is 1. Shard 1 has
+// served two pops; shard 0 holds a leaked push reservation, so it looks
+// resident with no pops, and shard 1's next pop would run 2 ahead of
+// that laggard: window-blocked. PopLeftCtx must surface ctx.Err() at its
+// deadline, never ok=false. Once the leak is undone, the same pop
+// certifies empty in one sweep.
+func TestRelaxedBlockedIsNotEmpty(t *testing.T) {
+	r := NewRelaxed[int](2, WithRankBound(4))
+	if r.SegmentLen() != 1 {
+		t.Fatalf("SegmentLen = %d, want 1", r.SegmentLen())
+	}
+	h := r.Register()
+	r.stamps.AddPush(1, 2)
+	r.stamps.AddPop(1, 2)
+	r.stamps.AddPush(0, 1) // a push that reserved its stamp and never landed
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, ok, err := h.PopLeftCtx(ctx); ok || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("blocked pop = ok %v err %v, want context.DeadlineExceeded", ok, err)
+	}
+	if h.ph.resweeps == 0 {
+		t.Fatal("blocked sweeps were not retried")
+	}
+
+	r.stamps.UndoPush(0)
+	before := h.ph.resweeps
+	if _, ok, err := h.PopLeftCtx(context.Background()); ok || err != nil {
+		t.Fatalf("pop after undo = ok %v err %v, want certified empty", ok, err)
+	}
+	if got := h.ph.resweeps - before; got != 0 {
+		t.Fatalf("empty pop took %d resweeps, want one sweep", got)
+	}
 }

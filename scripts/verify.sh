@@ -33,6 +33,9 @@ go test -race -short -count=1 ./internal/core/ ./internal/arena/ ./internal/obs/
 echo "== go test -race -short (shard, wire, dequed, schedd) =="
 go test -race -short -count=1 ./internal/shard/ ./internal/wire/ ./cmd/dequed/ ./cmd/schedd/
 
+echo "== go test -race -count=10 (relaxed, DEPQ and steal pops: one shared certify loop) =="
+go test -race -count=10 -run 'Relaxed|DEPQ|Steal' .
+
 echo "== service loopback smoke (dequed + dqload) =="
 sh scripts/smoke_service.sh
 
