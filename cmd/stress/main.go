@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,7 +45,7 @@ func printMetrics(m obs.Metrics) {
 
 func main() {
 	var (
-		structure = flag.String("structure", "of", "structure under test (see benchdeque -list)")
+		structure = flag.String("structure", "of", "structure under test: "+strings.Join(bench.StructureNames(), ", "))
 		mode      = flag.String("mode", "conservation", "conservation, lincheck, or cancel")
 		workers   = flag.Int("workers", 8, "concurrent workers")
 		duration  = flag.Duration("duration", 5*time.Second, "conservation: run length")

@@ -164,7 +164,7 @@ func TestDEPQConservationConcurrent(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		rec  Reclamation
-	}{{"hazard", ReclaimHazard}, {"epoch", ReclaimEpoch}} {
+	}{{"gc", ReclaimGC}, {"hazard", ReclaimHazard}, {"epoch", ReclaimEpoch}} {
 		rec := c.rec
 		t.Run(c.name, func(t *testing.T) {
 			const (

@@ -319,9 +319,14 @@ type node struct {
 	// removal time. A traversal stranded on a removed node whose inward
 	// link ID no longer resolves follows escape instead — the Go
 	// equivalent of the paper's guarantee that hazard pointers keep a
-	// retired node's inward chain traversable. Escape chains point
-	// strictly toward nodes removed later (or still active), so following
-	// them terminates at the active chain.
+	// retired node's inward chain traversable. The remover stores it right
+	// after its L7 CAS and before its own hint-refresh walk. Another
+	// walker that finds the node unlinked while escape is still nil
+	// restarts, which only delays it: the remover sets escape within a
+	// bounded number of its own steps. The remover's walk must never be
+	// that walker, or it would restart forever with no one left to set
+	// escape. Escape chains point strictly toward nodes removed later (or
+	// still active), so following them terminates at the active chain.
 	escape atomic.Pointer[node]
 	// Slot hints (Fig. 5 lines 23-24): racy performance hints, stored
 	// atomically to keep the race detector honest.

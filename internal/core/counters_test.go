@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRetriesZeroSingleThreaded(t *testing.T) {
@@ -80,25 +81,39 @@ func TestEdgeCacheHitsPingPong(t *testing.T) {
 func TestRetriesCountedUnderContention(t *testing.T) {
 	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 8})
 	handles := make([]*Handle, 8)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := range handles {
 		handles[w] = d.Register()
-		wg.Add(1)
-		go func(h *Handle, w int) {
-			defer wg.Done()
-			for i := uint32(0); i < 5000; i++ {
-				if (i+uint32(w))%2 == 0 {
-					d.PushLeft(h, i)
-				} else {
-					d.PopLeft(h)
-				}
-			}
-		}(handles[w], w)
 	}
-	wg.Wait()
+	// A round holds every worker at a start gate (without it the first
+	// workers can finish before the last are scheduled) and keeps each one
+	// on the edge for a stretch of wall time, so that on a single or busy
+	// P preemption can land between an op's read and its CAS. Rounds
+	// repeat until some retry shows up or the budget runs out.
 	var total uint64
-	for _, h := range handles {
-		total += h.Retries
+	budget := time.Now().Add(5 * time.Second)
+	for round := 0; total == 0 && (round == 0 || time.Now().Before(budget)); round++ {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		stop := time.Now().Add(50 * time.Millisecond)
+		for w, h := range handles {
+			wg.Add(1)
+			go func(h *Handle, w int) {
+				defer wg.Done()
+				<-start
+				for i := uint32(0); i < 5000 || (i%256 != 0 || time.Now().Before(stop)); i++ {
+					if (i+uint32(w))%2 == 0 {
+						d.PushLeft(h, i)
+					} else {
+						d.PopLeft(h)
+					}
+				}
+			}(h, w)
+		}
+		close(start)
+		wg.Wait()
+		for _, h := range handles {
+			total += h.Retries
+		}
 	}
 	// All workers hammer the same (left) edge; at least some retries must
 	// have been observed — zero would mean the counter is disconnected.

@@ -259,8 +259,8 @@ func (d *Deque) pushLeftTransitions(h *Handle, v uint32, edge *node, idx int, hi
 			h.idxL = 1
 			h.rec.Inc(obs.CtrHintPublish)
 			d.left.set(hintW, edge)
-			d.refreshRightHint(h)
 			d.unregisterLeft(h, outNd, edge) // retire the removed chain
+			d.refreshRightHint(h)
 		} else {
 			h.rec.Inc(obs.CtrFailL7)
 		}
@@ -406,8 +406,8 @@ func (d *Deque) popLeftTransitions(h *Handle, edge *node, idx int, hintW uint64)
 				h.idxL = 1
 				h.rec.Inc(obs.CtrHintPublish)
 				hintW = d.left.set(hintW, edge)
-				d.refreshRightHint(h)
 				d.unregisterLeft(h, outNd, edge)
+				d.refreshRightHint(h)
 				inCpy = word.Bump(inCpy)
 				outCpy = word.With(outCpy, word.LN)
 				outVal = word.LN

@@ -48,15 +48,26 @@ import (
 //  I3  Escape pointers survive reinit. reinitNode never touches escape, and
 //      every retire stores a fresh escape before clearing the entry — so a
 //      walker stranded on an unresolvable node can always read its escape
-//      and move toward the chain. Unresolvable nodes are escape-only
-//      territory: guarded walks (below) never read their slots.
+//      and move toward the chain. The remover retires the chain right after
+//      its L7 CAS, before it refreshes the opposite hint: its own refresh
+//      walk may start on the node it just unlinked, and must find the
+//      escape already set (other walkers that see a nil escape restart
+//      until the remover, which waits on no one, sets it). Unresolvable
+//      nodes are escape-only territory: guarded walks (below) never read
+//      their slots.
 //  I4  Retires are batched per removal walk. unregisterLeft/Right finish
 //      reading the sealed chain before any of its IDs reach the domain, so a
 //      scan triggered by the retire cannot recycle a node the walk is still
 //      reading. (The chain is exclusively the removing walk's: only the L7/R7
 //      winner reaches it, and its nodes are unretired — hence unfreeable —
-//      until the walk itself marks them.) An atomic once-guard on the node
-//      makes retire exactly-once across every policy, including ReclaimNone.
+//      until the walk itself marks them.) flushRetires therefore runs before
+//      the remover's hint-refresh walk, and that walk needs nothing more:
+//      it is an ordinary guarded oracle walk, so it reads slots only of
+//      nodes it has guarded (hazard) or resolved while pinned (epoch) — by
+//      I0 never one whose grace period is running — and it leaves the
+//      retired chain through escapes alone. An atomic once-guard on the
+//      node makes retire exactly-once across every policy, including
+//      ReclaimNone.
 //
 // # Reader participation
 //

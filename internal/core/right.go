@@ -230,8 +230,8 @@ func (d *Deque) pushRightTransitions(h *Handle, v uint32, edge *node, idx int, h
 			h.idxR = sz - 2
 			h.rec.Inc(obs.CtrHintPublish)
 			d.right.set(hintW, edge)
-			d.refreshLeftHint(h)
 			d.unregisterRight(h, outNd, edge)
+			d.refreshLeftHint(h)
 		} else {
 			h.rec.Inc(obs.CtrFailL7)
 		}
@@ -364,8 +364,8 @@ func (d *Deque) popRightTransitions(h *Handle, edge *node, idx int, hintW uint64
 				h.idxR = sz - 2
 				h.rec.Inc(obs.CtrHintPublish)
 				hintW = d.right.set(hintW, edge)
-				d.refreshLeftHint(h)
 				d.unregisterRight(h, outNd, edge)
+				d.refreshLeftHint(h)
 				inCpy = word.Bump(inCpy)
 				outCpy = word.With(outCpy, word.RN)
 				outVal = word.RN

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -144,6 +145,48 @@ func TestRightSideStillRemovesPendingRS(t *testing.T) {
 	}
 	if err := d.CheckInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLonePushRightEscapesUnlinkedLeftHint is the solo run obstruction
+// freedom must finish: the left hint names nd1 — registered and RS-sealed —
+// and a lone PushRight removes it (L7), unlinking it from nd0, whose
+// innermost slot is empty. The remover's own left-hint refresh then starts
+// on nd1. If nd1's escape were still nil at that point, the walk would read
+// it, restart from the same unchanged hint and never return; the escape
+// must be stored before the refresh walks. The push runs in its own
+// goroutine only so the test can stop it: it fails once the left oracle has
+// restarted more than a budget of times without the push returning.
+func TestLonePushRightEscapesUnlinkedLeftHint(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("the restart budget reads counters compiled out (obsoff)")
+	}
+	d, _, nd1 := pendingRightSeal(t)
+	d.left.set(d.left.w.Load(), nd1)
+	h := d.Register()
+	done := make(chan error, 1)
+	go func() { done <- d.PushRight(h, 7) }()
+	const budget = 1000
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := d.PopLeft(h); !ok || v != 7 {
+				t.Fatalf("PopLeft = (%d,%v), want (7,true)", v, ok)
+			}
+			if err := d.CheckInvariant(); err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		if n := h.rec.Load(obs.CtrOracleRestart); n > budget {
+			t.Fatalf("PushRight has not returned after %d oracle restarts on an unchanged left hint\n%s",
+				n, d.Dump())
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // single-op hot paths only record a sampled subset of operations
 // (Config.LatSample, default 1 in 1024) so the two clock reads per sample
 // stay inside the <=2% A/B budget even on machines where a clock read
-// costs as much as a deque op (scripts/oplatency_overhead.sh). Batch ops,
+// costs as much as a deque op (scripts/verify.sh's obs A/B). Batch ops,
 // announce waits, steal sweeps, and server frames record always: they are
 // rare or amortized, and their tails are the point. The obsoff build
 // compiles the recorder to a zero-size no-op.

@@ -19,7 +19,7 @@
 // goroutines with atomic loads; each counter is monotone, so merged sums
 // are themselves monotone. The `obsoff` build tag compiles every
 // increment to a no-op for A/B measurement of the layer's own cost
-// (scripts/obs_overhead.sh gates the default build at <= 2% against it).
+// (scripts/verify.sh's obs A/B gates the default build at <= 2% against it).
 //
 // # Counter semantics
 //

@@ -1,13 +1,12 @@
 package deque
 
-// Benchmarks backing the op-latency observability overhead gate
-// (scripts/oplatency_overhead.sh and scripts/obs_overhead.sh). They
-// replicate internal/contbench's baseline single-op workload — uniform
-// PushLeft/PushRight/PopLeft/PopRight through the public API — as paired
-// go-test benchmarks, because b.N iteration timing resolves sub-percent
-// per-op differences that wall-clock throughput windows cannot: on a
-// noisy single-core box the contention sweep's trial-to-trial spread is
-// >10%, while two 3-second runs of BenchmarkObsMixed4Way agree to ~0.2%.
+// Benchmarks behind the A/B gates in scripts/verify.sh, which races them
+// through scripts/ab.sh. Each runs one handle through a fixed single-op
+// workload as a go-test benchmark, because b.N iteration timing resolves
+// sub-percent per-op differences that wall-clock throughput windows
+// cannot: on a noisy single-core box a contention sweep's trial-to-trial
+// spread is >10%, while two 3-second runs of BenchmarkObsMixed4Way agree
+// to ~0.2%.
 //
 //	go test -bench ObsMixed4Way -benchtime 1s            # default build
 //	go test -tags obsoff -bench ObsMixed4Way -benchtime 1s
@@ -57,7 +56,20 @@ func benchMixed4Way(h *Handle[uint32], rng *xrand.Xoshiro256, n int) {
 // time per op — which competing load on a shared box cannot inflate the
 // way wall time can; the overhead gate compares that metric.
 func BenchmarkObsMixed4Way(b *testing.B) {
-	d := New[uint32](benchOpts(WithMaxThreads(2))...)
+	benchSerialMixed4Way(b, New[uint32](benchOpts(WithMaxThreads(2))...))
+}
+
+// BenchmarkObsMixed4WayHelping is BenchmarkObsMixed4Way with the
+// announcement/helping layer on. A lone handle never announces, so the
+// helping A/B (this against ObsMixed4Way, same binary) measures the
+// layer's standing cost: the per-op poll tick and the pending-count load.
+func BenchmarkObsMixed4WayHelping(b *testing.B) {
+	benchSerialMixed4Way(b, New[uint32](benchOpts(WithMaxThreads(2), WithHelping(true))...))
+}
+
+// benchSerialMixed4Way prefills d through one handle and times b.N mixed
+// single ops on it.
+func benchSerialMixed4Way(b *testing.B, d *Deque[uint32]) {
 	h := d.Register()
 	for i := 0; i < 1024; i++ {
 		h.PushLeft(uint32(i))
@@ -66,15 +78,60 @@ func BenchmarkObsMixed4Way(b *testing.B) {
 	b.ResetTimer()
 	start := cpuTimeNs()
 	benchMixed4Way(h, rng, b.N)
+	reportCPUPerOp(b, start)
+}
+
+// BenchmarkPoolKey0Alternating and BenchmarkRelaxedStrictAlternating are
+// the two sides of the strict-Relaxed A/B: the same push-left/pop-right
+// pairs on a 4-shard pool, once through a PoolHandle with key 0 and once
+// through a strict (WithRelaxation(0)) RelaxedHandle, which delegates to
+// exactly those calls. The gap is the delegation wrapper.
+func BenchmarkPoolKey0Alternating(b *testing.B) {
+	h := NewPool[uint32](4, WithShardOptions(WithMaxThreads(2))).Register()
+	benchAlternating(b, func(v uint32) error { return h.PushLeft(0, v) },
+		func() (uint32, bool) { return h.PopRight(0) })
+}
+
+func BenchmarkRelaxedStrictAlternating(b *testing.B) {
+	r := NewRelaxed[uint32](4, WithRelaxation(0),
+		WithRelaxedPool(WithShardOptions(WithMaxThreads(2))))
+	h := r.Register()
+	benchAlternating(b, h.PushLeft, h.PopRight)
+}
+
+// benchAlternating prefills through push and times b.N push-then-pop
+// pairs; one op is one pair.
+func benchAlternating(b *testing.B, push func(uint32) error, pop func() (uint32, bool)) {
+	for i := 0; i < 1024; i++ {
+		if err := push(uint32(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	start := cpuTimeNs()
+	for i := 0; i < b.N; i++ {
+		if err := push(uint32(i) & 0x00FFFFFF); err != nil {
+			b.Fatal(err)
+		}
+		pop()
+	}
+	reportCPUPerOp(b, start)
+}
+
+// reportCPUPerOp reports the process CPU time since start per b.N as
+// cpu-ns/op, the metric the A/B gates compare.
+func reportCPUPerOp(b *testing.B, start int64) {
 	if end := cpuTimeNs(); start >= 0 && end >= 0 {
 		b.ReportMetric(float64(end-start)/float64(b.N), "cpu-ns/op")
 	}
 }
 
-// BenchmarkObsMixed4WayParallel is the contended side: GOMAXPROCS workers
-// (use -cpu to oversubscribe) hammer one deque so the failure-streak
-// bookkeeping in noteFailure and the watchdog checks run on the measured
-// path too.
+// BenchmarkObsMixed4WayParallel is the contended counterpart, run by hand
+// rather than gated: GOMAXPROCS workers (use -cpu to oversubscribe) hammer
+// one deque so the failure-streak bookkeeping in noteFailure and the
+// watchdog checks run on the measured path too. Oversubscribed on one
+// core its cpu-ns/op mostly measures backoff-spin luck under preemption,
+// so it gates nothing.
 func BenchmarkObsMixed4WayParallel(b *testing.B) {
 	d := New[uint32](benchOpts(WithMaxThreads(64))...)
 	var seed atomic.Uint64
@@ -103,7 +160,5 @@ func BenchmarkObsMixed4WayParallel(b *testing.B) {
 			ops++
 		}
 	})
-	if end := cpuTimeNs(); start >= 0 && end >= 0 {
-		b.ReportMetric(float64(end-start)/float64(b.N), "cpu-ns/op")
-	}
+	reportCPUPerOp(b, start)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/xrand"
 )
 
 // Public-API coverage for the reclamation options: flag parsing, option
@@ -127,5 +128,34 @@ func TestMemoryLimitErrFullAndRecovery(t *testing.T) {
 	}
 	if v, ok := h.PopLeft(); !ok || v != 7 {
 		t.Fatalf("PopLeft = (%d, %v) after recovery", v, ok)
+	}
+}
+
+// TestRecyclingSteadyStateAllocs is the node-recycling allocation gate: the
+// mixed 4-way single-handle workload on 16-slot nodes crosses a node
+// boundary every few operations, and the recycling policies must serve
+// that churn from the pool instead of the heap. The 0.018 allocs/op
+// ceiling is about half of what the non-recycling gc policy measures
+// (~0.037), so the test fails if recycling stops working.
+func TestRecyclingSteadyStateAllocs(t *testing.T) {
+	const (
+		opsPerRun = 1 << 16
+		ceiling   = 0.018
+	)
+	for _, c := range []struct {
+		name string
+		rec  Reclamation
+	}{{"hazard", ReclaimHazard}, {"epoch", ReclaimEpoch}} {
+		t.Run(c.name, func(t *testing.T) {
+			d := New[uint32](WithNodeSize(16), WithReclamation(c.rec), WithPoolNodes(65536))
+			h := d.Register()
+			rng := xrand.NewXoshiro256(1)
+			benchMixed4Way(h, rng, 4*opsPerRun) // warm-up: fill the pool
+			perOp := testing.AllocsPerRun(8, func() { benchMixed4Way(h, rng, opsPerRun) }) / opsPerRun
+			t.Logf("%s: %.5f allocs/op", c.name, perOp)
+			if perOp > ceiling {
+				t.Fatalf("%s: %.5f allocs/op, want <= %.3f", c.name, perOp, ceiling)
+			}
+		})
 	}
 }

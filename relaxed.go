@@ -34,7 +34,7 @@ import (
 // WithRelaxation(0) is strict passthrough: every operation delegates to
 // the underlying PoolHandle (policy routing, stealing) and no stamps or
 // estimates are touched — relaxation off costs nothing, which
-// scripts/relaxed_overhead.sh gates at <= 2%.
+// scripts/verify.sh's strict-Relaxed A/B gates at <= 2%.
 //
 // What survives from the pool contract: conservation (every pushed
 // value pops exactly once), per-shard linearizability, and emptiness

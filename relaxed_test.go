@@ -127,7 +127,7 @@ func TestRelaxedConservationConcurrent(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		rec  Reclamation
-	}{{"hazard", ReclaimHazard}, {"epoch", ReclaimEpoch}} {
+	}{{"gc", ReclaimGC}, {"hazard", ReclaimHazard}, {"epoch", ReclaimEpoch}} {
 		rec := c.rec
 		t.Run(c.name, func(t *testing.T) {
 			const (

@@ -13,9 +13,9 @@ SEEDS="${*:-1 7 42 1337 3735928559}"
 list=$(echo "$SEEDS" | tr ' ' ,)
 
 echo "== chaos sweep: seeds $list =="
-go test -tags chaos -count=1 ./internal/chaostest/ -chaos.seeds="$list"
+go test -tags chaos -count=1 -cpu 2 ./internal/chaostest/ -chaos.seeds="$list"
 
 echo "== chaos sweep under -race (short) =="
-go test -tags chaos -race -short -count=1 ./internal/chaostest/ -chaos.seeds="$list"
+go test -tags chaos -race -short -count=1 -cpu 2 ./internal/chaostest/ -chaos.seeds="$list"
 
 echo "chaos: all seeds green"

@@ -2,6 +2,8 @@
 # Tier-1 verification gate: build, vet, the full test suite, and a -race
 # pass over the packages with lock-free hot paths (including the slab
 # freelist stress test). Run before every commit; CI runs the same steps.
+# The concurrent suites run with -cpu 2, so even a 1-CPU runner schedules
+# two Ps and interleaves operations mid-transition.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -25,16 +27,16 @@ run_staticcheck() {
 run_staticcheck
 
 echo "== go test (full) =="
-go test ./... -count=1
+go test ./... -count=1 -cpu 2
 
 echo "== go test -race -short (core, arena, obs, root) =="
-go test -race -short -count=1 ./internal/core/ ./internal/arena/ ./internal/obs/ .
+go test -race -short -count=1 -cpu 2 ./internal/core/ ./internal/arena/ ./internal/obs/ .
 
 echo "== go test -race -short (shard, wire, dequed, schedd) =="
-go test -race -short -count=1 ./internal/shard/ ./internal/wire/ ./cmd/dequed/ ./cmd/schedd/
+go test -race -short -count=1 -cpu 2 ./internal/shard/ ./internal/wire/ ./cmd/dequed/ ./cmd/schedd/
 
 echo "== go test -race -count=10 (relaxed, DEPQ and steal pops: one shared certify loop) =="
-go test -race -count=10 -run 'Relaxed|DEPQ|Steal' .
+go test -race -count=10 -cpu 2 -run 'Relaxed|DEPQ|Steal' .
 
 echo "== service loopback smoke (dequed + dqload) =="
 sh scripts/smoke_service.sh
@@ -53,26 +55,20 @@ echo "== go test -tags obsoff (counters compiled out) =="
 go test -tags obsoff -count=1 . ./internal/core/ ./internal/obs/
 
 echo "== observability-overhead A/B gate (counters + histograms + flight recorder vs -tags obsoff) =="
-# scripts/obs_overhead.sh delegates to the same gate; one run covers both.
-sh scripts/oplatency_overhead.sh
+sh scripts/ab.sh obsoff 'ObsMixed4Way$' '' 'ObsMixed4Way$'
 
-echo "== reclamation allocs/op gate (epoch steady state ~0 allocs/op) =="
-# Short run; the 0.018 ceiling is 3x the measured ~0.006 at this duration
-# (limbo ramp noise included — the checked-in BENCH_reclaim.json uses 2s
-# runs and lands near 0.003) and half the ~0.036 the non-recycling gc
-# policy measures, so it fails hard if recycling stops working.
-go run ./cmd/benchreclaim -duration 1s -trials 1 \
-    -gate-policy epoch -gate-allocs 0.018 -out /tmp/verify_reclaim.json
+echo "== reclamation allocs/op gate (hazard and epoch steady state <= 0.018 allocs/op) =="
+go test -count=1 -run 'TestRecyclingSteadyStateAllocs' -v .
 
 echo "== go vet (chaos build) =="
 go vet -tags chaos ./...
 run_staticcheck -tags chaos
 
 echo "== go test -tags chaos (fault-injection suites) =="
-go test -tags chaos -count=1 ./internal/chaos/ ./internal/chaostest/ ./internal/core/
+go test -tags chaos -count=1 -cpu 2 ./internal/chaos/ ./internal/chaostest/ ./internal/core/
 
 echo "== go test -tags chaos -race -short (chaostest) =="
-go test -tags chaos -race -short -count=1 ./internal/chaostest/
+go test -tags chaos -race -short -count=1 -cpu 2 ./internal/chaostest/
 
 echo "== flight-recorder escalation gate (forced streak dumps + reconstructs) =="
 # Fails if a watchdog escalation does not auto-dump the flight ring or if
@@ -88,22 +84,16 @@ go test -tags chaos -count=1 -run 'TestHelpBoundParkedAnnouncer|TestAnnouncedCan
     ./internal/chaostest/
 
 echo "== helping-overhead A/B gate (helping on vs off) =="
-sh scripts/helping_overhead.sh
+sh scripts/ab.sh '' 'ObsMixed4Way$' '' 'ObsMixed4WayHelping$'
 
-echo "== relaxed rank-bound gate (observed rank error <= configured bound) =="
-go run ./cmd/benchrelaxed -mode relaxed -duration 400ms -trials 1 \
-    -shards 4 -threads 4 -rank-bound 64 -gate-rank-bound -out /tmp/verify_relaxed.json
-
+# The fault-free rank- and inversion-bound gates are the full suite's
+# TestRelaxedConservationConcurrent and TestDEPQConservationConcurrent.
 echo "== relaxed chaos gates (conservation + rank bound under fault schedules) =="
 go test -tags chaos -count=1 -run 'TestRelaxedConservationChaos|TestRelaxedRankBoundChaos' \
     ./internal/chaostest/
 
 echo "== relaxed strict-overhead A/B gate (Relaxed d=0 vs plain pool) =="
-sh scripts/relaxed_overhead.sh
-
-echo "== depq inversion-bound gate (observed priority inversion <= configured bound) =="
-go run ./cmd/benchdepq -mode depq -duration 400ms -trials 1 \
-    -bands 8 -threads 4 -band-bound 2 -gate-inv-bound -out /tmp/verify_depq.json
+sh scripts/ab.sh '' 'PoolKey0Alternating$' '' 'RelaxedStrictAlternating$'
 
 echo "== depq chaos gates (conservation + inversion bound under fault schedules) =="
 go test -tags chaos -count=1 -run 'TestDEPQConservationChaos|TestDEPQInversionBoundChaos' \
