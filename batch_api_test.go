@@ -78,32 +78,6 @@ func TestUint32BatchAndReserved(t *testing.T) {
 	}
 }
 
-// TestHotPathToggleEquivalence checks the legacy construction behaves
-// identically (functionally) and keeps the edge cache cold, while the
-// default construction uses it.
-func TestHotPathToggleEquivalence(t *testing.T) {
-	for _, on := range []bool{true, false} {
-		d := New[int](WithNodeSize(8), WithHotPathOptimizations(on))
-		h := d.Register()
-		for i := 0; i < 500; i++ {
-			h.PushRight(i)
-		}
-		for i := 0; i < 500; i++ {
-			v, ok := h.PopLeft()
-			if !ok || v != i {
-				t.Fatalf("on=%v: pop %d = (%d,%v)", on, i, v, ok)
-			}
-		}
-		hits := h.Stats().EdgeCacheHits
-		if on && hits == 0 {
-			t.Fatal("optimized handle recorded no edge-cache hits")
-		}
-		if !on && hits != 0 {
-			t.Fatalf("legacy handle recorded %d edge-cache hits", hits)
-		}
-	}
-}
-
 // TestConcurrentBatchNoValueLoss is the public-API conservation check under
 // concurrency: batched pushes and pops from several goroutines, then a
 // drain, must account for every value exactly once.

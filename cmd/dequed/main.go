@@ -4,10 +4,9 @@
 // handle; requests on a connection are answered strictly in order, so
 // clients may pipeline freely.
 //
-// Lifecycle: SIGINT/SIGTERM starts a graceful drain — the listener
-// closes, connected clients keep being served until they hang up or the
-// drain timeout passes (then in-flight operations are cancelled), and a
-// final Prometheus-format metrics snapshot goes to stderr before exit.
+// Lifecycle (internal/server.Process): SIGINT/SIGTERM closes the
+// listener, connected clients are served until they hang up or the drain
+// timeout cancels their operations, and the /metrics text goes to stderr.
 //
 // Example:
 //
@@ -19,23 +18,19 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	dq "repro"
+	"repro/internal/server"
 )
 
 func main() {
+	p := server.Flags("dequed", "localhost:7411")
 	var (
-		addr     = flag.String("addr", "localhost:7411", "TCP listen address (use :0 with -addr-file for an ephemeral port)")
-		addrFile = flag.String("addr-file", "", "write the bound listen address to this file once listening")
 		shards   = flag.Int("shards", 4, "deque shards in the pool")
 		route    = flag.String("route", "rr", "routing policy: rr, key, or least")
 		steal    = flag.Bool("steal", true, "steal-on-empty rebalancing across shards")
@@ -45,9 +40,6 @@ func main() {
 		memlimit = flag.Int64("memlimit", 0, "per-shard node-memory cap in bytes (0 = unbounded); exceeding pushes get STATUS_FULL")
 		helping  = flag.Bool("helping", false, "announcement/helping layer: starving ops are completed by other threads (bounded tail latency)")
 		watchdog = flag.Int("watchdog", 0, "livelock-watchdog streak threshold per shard (0 = default 256)")
-		metrics  = flag.String("metrics", "", "serve Prometheus /metrics and /debug/flightrecorder on this HTTP address (empty disables)")
-		fdump    = flag.Duration("flight-dump", 0, "auto-dump the flight recorder to stderr on watchdog/announce distress, rate-limited to one dump per this interval (0 disables)")
-		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful drain window on SIGTERM before in-flight ops are cancelled")
 		relaxed  = flag.Bool("relaxed", false, "serve through the semantically-relaxed d-choice front-end (keys ignored; ordering relaxed across shards)")
 		dFlag    = flag.Int("d", 2, "relaxed sample width: shards sampled per op (0 = strict passthrough; needs -relaxed)")
 		rank     = flag.Int("rank-bound", 0, "worst-case rank-error bound for -relaxed (0 = unbounded; else >= 4*(shards-1))")
@@ -81,116 +73,47 @@ func main() {
 		shardOpts = append(shardOpts, dq.WithWatchdogThreshold(*watchdog))
 	}
 	srv, err := NewServer(Config{
-		Shards:       *shards,
-		Route:        policy,
-		Steal:        *steal,
-		MaxConns:     *maxconns,
-		DrainTimeout: *drain,
-		ShardOpts:    shardOpts,
-		Relaxed:      *relaxed,
-		Sample:       *dFlag,
-		RankBound:    *rank,
+		Shards:    *shards,
+		Route:     policy,
+		Steal:     *steal,
+		MaxConns:  *maxconns,
+		ShardOpts: shardOpts,
+		Relaxed:   *relaxed,
+		Sample:    *dFlag,
+		RankBound: *rank,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dequed:", err)
 		os.Exit(2)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dequed:", err)
-		os.Exit(1)
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dequed:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *fdump > 0 {
-		srv.Pool().SetFlightDump(os.Stderr, *fdump)
-	}
-
-	// Optional scrape endpoint: a fresh pool-merged snapshot per request.
-	var msrv *http.Server
-	if *metrics != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := dq.WriteMetricsProm(rw, "dequed", srv.Pool().Metrics()); err != nil {
-				fmt.Fprintln(os.Stderr, "dequed: write /metrics:", err)
-			}
-			if err := dq.WriteLatMetricsProm(rw, "dequed", srv.LatencySnapshot()); err != nil {
-				fmt.Fprintln(os.Stderr, "dequed: write /metrics:", err)
-			}
-			if rx := srv.Relaxed(); rx != nil {
-				if err := dq.WriteRelaxMetricsProm(rw, "dequed", rx.RelaxMetrics()); err != nil {
-					fmt.Fprintln(os.Stderr, "dequed: write /metrics:", err)
-				}
-			}
-		})
-		mux.HandleFunc("/debug/flightrecorder", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(rw)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(map[string]any{
-				"total":   srv.Pool().FlightTotal(),
-				"records": srv.Pool().FlightRecords(),
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, "dequed: write /debug/flightrecorder:", err)
-			}
-		})
-		msrv = &http.Server{Addr: *metrics, Handler: mux}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "dequed: metrics server:", err)
-			}
-		}()
-	}
-
 	mode := ""
 	if *relaxed {
 		mode = fmt.Sprintf(" relaxed(d=%d,rank-bound=%d)", *dFlag, *rank)
 	}
-	fmt.Printf("dequed: %d shards, route=%s steal=%v maxconns=%d%s on %s\n",
-		*shards, policy, *steal, *maxconns, mode, ln.Addr())
+	p.Banner = func(a net.Addr) string {
+		return fmt.Sprintf("dequed: %d shards, route=%s steal=%v maxconns=%d%s on %s",
+			*shards, policy, *steal, *maxconns, mode, a)
+	}
+	p.Serve = srv.Serve
+	p.Shutdown = srv.Shutdown
+	p.WriteMetrics = srv.writeMetrics
+	p.Flight = srv.Pool()
+	os.Exit(p.Run(context.Background()))
+}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	exit := 0
-	select {
-	case <-ctx.Done():
-		stop() // restore default signal behavior: a second signal kills
-		fmt.Fprintf(os.Stderr, "dequed: draining (up to %s)\n", *drain)
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
-		if err := srv.Shutdown(sctx); err != nil {
-			fmt.Fprintln(os.Stderr, "dequed: hard stop after drain timeout:", err)
-		}
-		cancel()
-	case err := <-errc:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dequed:", err)
-			exit = 1
-		}
+// writeMetrics renders the pool's counters, the service's latency
+// histograms and, in relaxed mode, the rank-error distribution: the text
+// of every /metrics scrape and of the final snapshot.
+func (s *Server) writeMetrics(w io.Writer) error {
+	if err := dq.WriteMetricsProm(w, "dequed", s.pool.Metrics()); err != nil {
+		return err
 	}
-	if msrv != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		msrv.Shutdown(sctx)
-		cancel()
+	if err := dq.WriteLatMetricsProm(w, "dequed", s.LatencySnapshot()); err != nil {
+		return err
 	}
-
-	fmt.Fprintln(os.Stderr, "dequed: final metrics snapshot")
-	if err := dq.WriteMetricsProm(os.Stderr, "dequed", srv.Pool().Metrics()); err != nil {
-		fmt.Fprintln(os.Stderr, "dequed:", err)
+	if s.rx == nil {
+		return nil
 	}
-	if rx := srv.Relaxed(); rx != nil {
-		if err := dq.WriteRelaxMetricsProm(os.Stderr, "dequed", rx.RelaxMetrics()); err != nil {
-			fmt.Fprintln(os.Stderr, "dequed:", err)
-		}
-	}
-	os.Exit(exit)
+	return dq.WriteRelaxMetricsProm(w, "dequed", s.rx.RelaxMetrics())
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"time"
 
 	dq "repro"
 	"repro/internal/server"
@@ -12,12 +11,11 @@ import (
 // Config collects everything a Server needs. The zero value is not
 // usable; main (and the tests) fill it from flags.
 type Config struct {
-	Shards       int            // pool width
-	Route        dq.RoutePolicy // routing policy for every connection
-	Steal        bool           // steal-on-empty rebalancing
-	MaxConns     int            // concurrent connection (= pool handle) cap
-	DrainTimeout time.Duration  // Shutdown grace before hard-cancel (0 = forever)
-	ShardOpts    []dq.Option    // forwarded to every shard (capacity, node size, ...)
+	Shards    int            // pool width
+	Route     dq.RoutePolicy // routing policy for every connection
+	Steal     bool           // steal-on-empty rebalancing
+	MaxConns  int            // concurrent connection (= pool handle) cap
+	ShardOpts []dq.Option    // forwarded to every shard (capacity, node size, ...)
 
 	// Relaxed serves every connection through a Relaxed[uint32] d-choice
 	// front-end instead of policy routing: request keys are ignored,
@@ -121,14 +119,6 @@ func (h *connHandle) flush() {
 	h.ph.Flush()
 }
 
-// clamp32 saturates a uint64 gauge into a wire uint32.
-func clamp32(v uint64) uint32 {
-	if v > 1<<32-1 {
-		return 1<<32 - 1
-	}
-	return uint32(v)
-}
-
 // apply executes one validated request against the connection's handle
 // and fills resp. Statuses follow wire.StatusOf: the deque's error
 // contract crosses the wire unchanged. In relaxed mode the key is
@@ -149,10 +139,10 @@ func (s *Server) apply(ctx context.Context, h *connHandle, req *wire.Request, re
 		if s.rx != nil {
 			m = s.rx.RelaxMetrics()
 		}
-		resp.Count = clamp32(m.RankMax)
+		resp.Count = wire.Clamp32(m.RankMax)
 		resp.Values = append(resp.Values,
-			clamp32(m.RankBound), clamp32(m.Sample), clamp32(m.Shards),
-			clamp32(uint64(m.MeanRank()*1000)))
+			wire.Clamp32(m.RankBound), wire.Clamp32(m.Sample), wire.Clamp32(m.Shards),
+			wire.Clamp32(uint64(m.MeanRank()*1000)))
 
 	case wire.OpStats:
 		resp.Status = wire.StatusOK

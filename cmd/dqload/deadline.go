@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/hostmeta"
-	"repro/internal/stats"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -30,8 +30,8 @@ import (
 
 // deadlineResult carries one deadline worker's tallies back to main.
 type deadlineResult struct {
-	hist     *stats.Histogram // request round-trip latency
-	late     *stats.Histogram // job lateness at PopMin completion
+	hist     *obs.LatSnapshot // request round-trip latency
+	late     *obs.LatSnapshot // job lateness at PopMin completion
 	ops      uint64           // requests completed
 	admitted uint64           // submits the server accepted
 	shedFull uint64           // submits refused with StatusFull
@@ -52,7 +52,7 @@ const (
 // like runWorker. start anchors the deadline encoding; every worker must
 // share it.
 func runDeadlineWorker(addr string, tag uint64, bands int, horizon time.Duration, pipeline, shed int, start time.Time, stop *atomic.Bool) deadlineResult {
-	res := deadlineResult{hist: stats.NewHistogram(), late: stats.NewHistogram()}
+	res := deadlineResult{hist: new(obs.LatSnapshot), late: new(obs.LatSnapshot)}
 	c, err := wire.Dial(addr)
 	if err != nil {
 		res.err = err
@@ -162,8 +162,8 @@ func runDeadline(addr string, conns int, duration time.Duration, bands int, hori
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	rtt := stats.NewHistogram()
-	late := stats.NewHistogram()
+	rtt := new(obs.LatSnapshot)
+	late := new(obs.LatSnapshot)
 	var total deadlineResult
 	for i := range results {
 		r := &results[i]
@@ -248,7 +248,7 @@ func runDeadline(addr string, conns int, duration time.Duration, bands int, hori
 			"late_p99_ns":  late.Quantile(0.99),
 			"late_p999_ns": late.Quantile(0.999),
 			"late_mean_ns": late.Mean(),
-			"late_max_ns":  late.Max(),
+			"late_max_ns":  late.Max,
 			"inv_max":      ds.InvMax,
 			"band_bound":   ds.BandBound,
 			"inv_mean":     float64(ds.MeanMilli) / 1000,
@@ -277,7 +277,7 @@ func runDeadline(addr string, conns int, duration time.Duration, bands int, hori
 	fmt.Printf("  lateness p50=%s p99=%s p99.9=%s mean=%s max=%s\n",
 		time.Duration(late.Quantile(0.50)), time.Duration(late.Quantile(0.99)),
 		time.Duration(late.Quantile(0.999)), time.Duration(int64(late.Mean())),
-		time.Duration(late.Max()))
+		time.Duration(late.Max))
 	fmt.Printf("  inversion max=%d mean=%.3f (bound %d, %d bands)\n",
 		ds.InvMax, float64(ds.MeanMilli)/1000, ds.BandBound, ds.Bands)
 	if checkConserve {

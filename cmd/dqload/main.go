@@ -25,13 +25,13 @@ import (
 
 	dq "repro"
 	"repro/internal/hostmeta"
-	"repro/internal/stats"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
 // workerResult carries one connection's tallies back to main.
 type workerResult struct {
-	hist   *stats.Histogram
+	hist   *obs.LatSnapshot
 	ops    uint64 // requests completed
 	values uint64 // values moved (pushed + popped)
 	full   uint64 // StatusFull responses (backpressure)
@@ -104,9 +104,8 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	merged := stats.NewHistogram()
+	merged := new(obs.LatSnapshot)
 	var total workerResult
-	total.hist = merged
 	for i := range results {
 		r := &results[i]
 		if r.err != nil {
@@ -168,7 +167,7 @@ func main() {
 			"p99_ns":         merged.Quantile(0.99),
 			"p999_ns":        merged.Quantile(0.999),
 			"mean_ns":        merged.Mean(),
-			"max_ns":         merged.Max(),
+			"max_ns":         merged.Max,
 			"host":           hostmeta.Collect(),
 		}
 		if *relax {
@@ -216,7 +215,7 @@ func main() {
 // load neither drains nor grows it without bound. tag marks this
 // worker's values; key is the routing key (0 unless -route key).
 func runWorker(addr string, tag, key uint64, batch, pipeline int, stop *atomic.Bool) workerResult {
-	res := workerResult{hist: stats.NewHistogram()}
+	res := workerResult{hist: new(obs.LatSnapshot)}
 	c, err := wire.Dial(addr)
 	if err != nil {
 		res.err = err

@@ -255,7 +255,7 @@ func ablationLatency(counts []int) {
 		fmt.Printf("  %-16s %s\n", r.name, h)
 		fmt.Fprintf(f, "%s,%d,%.0f,%d,%d,%d,%d,%d\n",
 			r.name, threads, h.Mean(), h.Quantile(0.5), h.Quantile(0.9),
-			h.Quantile(0.99), h.Quantile(0.999), h.Max())
+			h.Quantile(0.99), h.Quantile(0.999), h.Max)
 	}
 	fmt.Printf("wrote %s\n", filepath.Join(*outDir, "ablation_latency.csv"))
 }

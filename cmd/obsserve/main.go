@@ -23,37 +23,42 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	dq "repro"
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/xrand"
 )
 
-// newMux builds the full HTTP surface over one deque — split from main so
-// handler tests can drive it through httptest without a real listener or
-// the global DefaultServeMux.
-func newMux(d *dq.Deque[uint32]) *http.ServeMux {
+// newProcess wires d into the shared process shell: a drained HTTP
+// server whose mux carries the shell's /metrics and /debug/flightrecorder
+// plus /trace, expvar and pprof. Split from main so tests can drive the
+// handlers through httptest and the lifecycle without flags.
+func newProcess(d *dq.Deque[uint32], addr string, banner func(net.Addr) string) (*server.Process, *http.ServeMux) {
+	p := &server.Process{
+		Name:         "obsserve",
+		Addr:         addr,
+		DrainTimeout: 5 * time.Second,
+		Banner:       banner,
+		WriteMetrics: func(w io.Writer) error {
+			if err := dq.WriteMetricsProm(w, "deque", d.Metrics()); err != nil {
+				return err
+			}
+			return dq.WriteLatMetricsProm(w, "deque", d.LatencySnapshot())
+		},
+		Flight: d,
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
-		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := dq.WriteMetricsProm(rw, "deque", d.Metrics()); err != nil {
-			fmt.Fprintln(os.Stderr, "write /metrics:", err)
-		}
-		if err := dq.WriteLatMetricsProm(rw, "deque", d.LatencySnapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "write /metrics:", err)
-		}
-	})
+	p.Handle(mux)
 	mux.HandleFunc("/trace", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
 		recs := d.TraceRecords()
@@ -66,17 +71,7 @@ func newMux(d *dq.Deque[uint32]) *http.ServeMux {
 			out.Rendered = append(out.Rendered, r.String())
 		}
 		if err := json.NewEncoder(rw).Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "write /trace:", err)
-		}
-	})
-	mux.HandleFunc("/debug/flightrecorder", func(rw http.ResponseWriter, _ *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		out := struct {
-			Total   uint64            `json:"total"`
-			Records []dq.FlightRecord `json:"records"`
-		}{Total: d.FlightTotal(), Records: d.FlightRecords()}
-		if err := json.NewEncoder(rw).Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "write /debug/flightrecorder:", err)
+			fmt.Fprintln(os.Stderr, "obsserve: write /trace:", err)
 		}
 	})
 	// A private mux gets no automatic debug handlers; register the expvar
@@ -87,24 +82,10 @@ func newMux(d *dq.Deque[uint32]) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// writeFinalSnapshot emits the shutdown metrics snapshot: Prometheus
-// metrics (with latency) plus a flight-recorder dump when anything was
-// recorded, so a terminated run leaves its evidence behind.
-func writeFinalSnapshot(w io.Writer, d *dq.Deque[uint32]) {
-	if err := dq.WriteMetricsProm(w, "deque", d.Metrics()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
-	if err := dq.WriteLatMetricsProm(w, "deque", d.LatencySnapshot()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
-	if d.FlightTotal() > 0 {
-		if err := d.WriteFlightRecords(w); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}
+	hs := &http.Server{Handler: mux}
+	p.Serve = hs.Serve
+	p.Shutdown = hs.Shutdown
+	return p, mux
 }
 
 func main() {
@@ -118,12 +99,11 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := []dq.Option{
-		dq.WithMaxThreads(*workers + 1),
+	d, err := dq.NewChecked[uint32](
+		dq.WithMaxThreads(*workers+1),
 		dq.WithElimination(*elim),
 		dq.WithTracing(*trace),
-	}
-	d, err := dq.NewChecked[uint32](opts...)
+	)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -141,33 +121,13 @@ func main() {
 		}(w)
 	}
 
-	fmt.Printf("obsserve: pattern=%s workers=%d elim=%v trace=%d obs=%v on http://%s\n",
-		*pattern, *workers, *elim, *trace, dq.MetricsEnabled, *addr)
-
-	// Serve until SIGINT/SIGTERM, then shut down gracefully: in-flight
-	// scrapes finish, and a final metrics snapshot goes to stderr so a
-	// terminated run still leaves its evidence behind.
-	srv := &http.Server{Addr: *addr, Handler: newMux(d)}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		stop()
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := srv.Shutdown(sctx); err != nil {
-			fmt.Fprintln(os.Stderr, "obsserve: shutdown:", err)
-		}
-		cancel()
-	}
-	fmt.Fprintln(os.Stderr, "obsserve: final metrics snapshot")
-	writeFinalSnapshot(os.Stderr, d)
+	// Serve until SIGINT/SIGTERM; the drain lets in-flight scrapes finish
+	// and the final snapshot on stderr keeps the run's evidence.
+	p, _ := newProcess(d, *addr, func(a net.Addr) string {
+		return fmt.Sprintf("obsserve: pattern=%s workers=%d elim=%v trace=%d obs=%v on http://%s",
+			*pattern, *workers, *elim, *trace, dq.MetricsEnabled, a)
+	})
+	os.Exit(p.Run(context.Background()))
 }
 
 // drive runs one worker's endless workload loop under the given pattern.

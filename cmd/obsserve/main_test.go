@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -53,7 +55,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (string, *http.Respons
 
 func TestMetricsEndpoint(t *testing.T) {
 	d := newTestDeque(t)
-	srv := httptest.NewServer(newMux(d))
+	srv := httptest.NewServer(testMux(d))
 	defer srv.Close()
 
 	body, resp := get(t, srv, "/metrics")
@@ -78,7 +80,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestTraceEndpoint(t *testing.T) {
 	d := newTestDeque(t)
-	srv := httptest.NewServer(newMux(d))
+	srv := httptest.NewServer(testMux(d))
 	defer srv.Close()
 
 	body, resp := get(t, srv, "/trace")
@@ -99,7 +101,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 func TestFlightRecorderEndpoint(t *testing.T) {
 	d := newTestDeque(t)
-	srv := httptest.NewServer(newMux(d))
+	srv := httptest.NewServer(testMux(d))
 	defer srv.Close()
 
 	body, resp := get(t, srv, "/debug/flightrecorder")
@@ -127,7 +129,7 @@ func TestExpvarEndpoint(t *testing.T) {
 	if err := d.PublishExpvar("deque_handler_test"); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newMux(d))
+	srv := httptest.NewServer(testMux(d))
 	defer srv.Close()
 
 	body, resp := get(t, srv, "/debug/vars")
@@ -145,7 +147,7 @@ func TestExpvarEndpoint(t *testing.T) {
 
 func TestPprofEndpoint(t *testing.T) {
 	d := newTestDeque(t)
-	srv := httptest.NewServer(newMux(d))
+	srv := httptest.NewServer(testMux(d))
 	defer srv.Close()
 
 	body, resp := get(t, srv, "/debug/pprof/")
@@ -157,15 +159,29 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 }
 
+// TestFinalSnapshot runs the process lifecycle on a cancelled context:
+// bind, drain at once, and the final snapshot on stderr.
 func TestFinalSnapshot(t *testing.T) {
 	d := newTestDeque(t)
-	var sb strings.Builder
-	writeFinalSnapshot(&sb, d)
-	out := sb.String()
-	if !strings.Contains(out, "deque_ops_total") {
+	p, _ := newProcess(d, "127.0.0.1:0", net.Addr.String)
+	var stderr strings.Builder
+	p.Stdout, p.Stderr = io.Discard, &stderr
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if code := p.Run(ctx); code != 0 {
+		t.Fatalf("exit code %d:\n%s", code, stderr.String())
+	}
+	out := stderr.String()
+	if !strings.Contains(out, "obsserve: final metrics snapshot\n") || !strings.Contains(out, "deque_ops_total") {
 		t.Fatalf("final snapshot missing metrics:\n%.300s", out)
 	}
 	if dq.MetricsEnabled && !strings.Contains(out, "deque_op_latency") {
 		t.Fatalf("final snapshot missing latency series:\n%.300s", out)
 	}
+}
+
+// testMux is the process's HTTP surface without a listener.
+func testMux(d *dq.Deque[uint32]) http.Handler {
+	_, mux := newProcess(d, "", nil)
+	return mux
 }

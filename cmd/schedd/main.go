@@ -11,8 +11,8 @@
 // -band-bound caps how many priority classes a pop may skip, and OpDepq
 // (or /metrics) reports the inversion actually observed.
 //
-// Lifecycle matches cmd/dequed: SIGINT/SIGTERM starts a graceful drain,
-// and a final Prometheus-format snapshot goes to stderr before exit.
+// Lifecycle is cmd/dequed's (internal/server.Process): SIGINT/SIGTERM
+// starts a graceful drain, and the /metrics text goes to stderr at exit.
 //
 // Example:
 //
@@ -24,32 +24,25 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	dq "repro"
+	"repro/internal/server"
 )
 
 func main() {
+	p := server.Flags("schedd", "localhost:7421")
 	var (
-		addr     = flag.String("addr", "localhost:7421", "TCP listen address (use :0 with -addr-file for an ephemeral port)")
-		addrFile = flag.String("addr-file", "", "write the bound listen address to this file once listening")
 		bands    = flag.Int("bands", 8, "priority bands (band 0 most urgent; one pool shard each)")
 		bound    = flag.Int("band-bound", -1, "worst-case priority inversion in bands (0 = strict priority, -1 = unbounded)")
 		choice   = flag.Int("choice", 2, "d-choice width: bands sampled inside the inversion window per pop")
 		capacity = flag.Int("capacity", 0, "per-band job capacity (0 = default); full bands shed with STATUS_FULL")
 		maxconns = flag.Int("maxconns", 64, "concurrent connection cap (DEPQ handles are pooled up to this)")
 		reclaim  = flag.String("reclaim", "gc", "node reclamation: gc, hazard, or epoch (recycling)")
-		metrics  = flag.String("metrics", "", "serve Prometheus /metrics and /debug/flightrecorder on this HTTP address (empty disables)")
-		fdump    = flag.Duration("flight-dump", 0, "auto-dump the flight recorder to stderr on watchdog distress, rate-limited to one dump per this interval (0 disables)")
-		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful drain window on SIGTERM before in-flight ops are cancelled")
 	)
 	flag.Parse()
 
@@ -66,104 +59,37 @@ func main() {
 		shardOpts = append(shardOpts, dq.WithReclamation(rpol))
 	}
 	srv, err := NewServer(Config{
-		Bands:        *bands,
-		BandBound:    *bound,
-		Choice:       *choice,
-		MaxConns:     *maxconns,
-		DrainTimeout: *drain,
-		ShardOpts:    shardOpts,
+		Bands:     *bands,
+		BandBound: *bound,
+		Choice:    *choice,
+		MaxConns:  *maxconns,
+		ShardOpts: shardOpts,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedd:", err)
 		os.Exit(2)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedd:", err)
-		os.Exit(1)
+	p.Banner = func(a net.Addr) string {
+		return fmt.Sprintf("schedd: %d bands, band-bound=%d choice=%d maxconns=%d on %s",
+			srv.DEPQ().Bands(), srv.DEPQ().BandBound(), srv.DEPQ().Choice(), *maxconns, a)
 	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "schedd:", err)
-			os.Exit(1)
-		}
-	}
+	p.Serve = srv.Serve
+	p.Shutdown = srv.Shutdown
+	p.WriteMetrics = srv.writeMetrics
+	p.Flight = srv.DEPQ()
+	os.Exit(p.Run(context.Background()))
+}
 
-	if *fdump > 0 {
-		srv.DEPQ().SetFlightDump(os.Stderr, *fdump)
+// writeMetrics renders the bands' counters, the service's latency
+// histograms and the priority-inversion distribution: the text of every
+// /metrics scrape and of the final snapshot.
+func (s *Server) writeMetrics(w io.Writer) error {
+	if err := dq.WriteMetricsProm(w, "schedd", s.q.Metrics()); err != nil {
+		return err
 	}
-
-	// Optional scrape endpoint: a fresh merged snapshot per request.
-	var msrv *http.Server
-	if *metrics != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := dq.WriteMetricsProm(rw, "schedd", srv.DEPQ().Metrics()); err != nil {
-				fmt.Fprintln(os.Stderr, "schedd: write /metrics:", err)
-			}
-			if err := dq.WriteLatMetricsProm(rw, "schedd", srv.LatencySnapshot()); err != nil {
-				fmt.Fprintln(os.Stderr, "schedd: write /metrics:", err)
-			}
-			if err := dq.WriteDepqMetricsProm(rw, "schedd", srv.DEPQ().DepqMetrics()); err != nil {
-				fmt.Fprintln(os.Stderr, "schedd: write /metrics:", err)
-			}
-		})
-		mux.HandleFunc("/debug/flightrecorder", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(rw)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(map[string]any{
-				"records": srv.DEPQ().FlightRecords(),
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, "schedd: write /debug/flightrecorder:", err)
-			}
-		})
-		msrv = &http.Server{Addr: *metrics, Handler: mux}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "schedd: metrics server:", err)
-			}
-		}()
+	if err := dq.WriteLatMetricsProm(w, "schedd", s.LatencySnapshot()); err != nil {
+		return err
 	}
-
-	fmt.Printf("schedd: %d bands, band-bound=%d choice=%d maxconns=%d on %s\n",
-		srv.DEPQ().Bands(), srv.DEPQ().BandBound(), srv.DEPQ().Choice(), *maxconns, ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	exit := 0
-	select {
-	case <-ctx.Done():
-		stop() // restore default signal behavior: a second signal kills
-		fmt.Fprintf(os.Stderr, "schedd: draining (up to %s)\n", *drain)
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
-		if err := srv.Shutdown(sctx); err != nil {
-			fmt.Fprintln(os.Stderr, "schedd: hard stop after drain timeout:", err)
-		}
-		cancel()
-	case err := <-errc:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "schedd:", err)
-			exit = 1
-		}
-	}
-	if msrv != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		msrv.Shutdown(sctx)
-		cancel()
-	}
-
-	fmt.Fprintln(os.Stderr, "schedd: final metrics snapshot")
-	if err := dq.WriteMetricsProm(os.Stderr, "schedd", srv.DEPQ().Metrics()); err != nil {
-		fmt.Fprintln(os.Stderr, "schedd:", err)
-	}
-	if err := dq.WriteDepqMetricsProm(os.Stderr, "schedd", srv.DEPQ().DepqMetrics()); err != nil {
-		fmt.Fprintln(os.Stderr, "schedd:", err)
-	}
-	os.Exit(exit)
+	return dq.WriteDepqMetricsProm(w, "schedd", s.q.DepqMetrics())
 }

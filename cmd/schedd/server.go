@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"time"
 
 	dq "repro"
 	"repro/internal/server"
@@ -12,12 +11,11 @@ import (
 // Config collects everything a Server needs. The zero value is not
 // usable; main (and the tests) fill it from flags.
 type Config struct {
-	Bands        int           // priority bands (= pool shards behind the DEPQ)
-	BandBound    int           // worst-case priority inversion in bands (-1 = unbounded)
-	Choice       int           // d-choice width inside the band window
-	MaxConns     int           // concurrent connection (= DEPQ handle) cap
-	DrainTimeout time.Duration // Shutdown grace before hard-cancel (0 = forever)
-	ShardOpts    []dq.Option   // forwarded to every band (capacity, reclamation, ...)
+	Bands     int         // priority bands (= pool shards behind the DEPQ)
+	BandBound int         // worst-case priority inversion in bands (-1 = unbounded)
+	Choice    int         // d-choice width inside the band window
+	MaxConns  int         // concurrent connection (= DEPQ handle) cap
+	ShardOpts []dq.Option // forwarded to every band (capacity, reclamation, ...)
 }
 
 // Server owns a DEPQ[uint32] and serves the scheduler subset of the wire
@@ -75,14 +73,6 @@ func (s *Server) LatencySnapshot() *dq.LatSnapshotSet {
 	return set
 }
 
-// clamp32 saturates a uint64 gauge into a wire uint32.
-func clamp32(v uint64) uint32 {
-	if v > 1<<32-1 {
-		return 1<<32 - 1
-	}
-	return uint32(v)
-}
-
 // clampBand saturates the wire priority key into an int band. The DEPQ
 // clamps again into [0, bands); this only guards the uint64→int cast.
 func clampBand(key uint64) int {
@@ -109,10 +99,10 @@ func (s *Server) apply(ctx context.Context, h *dq.DEPQHandle[uint32], req *wire.
 	case wire.OpDepq:
 		resp.Status = wire.StatusOK
 		m := s.q.DepqMetrics()
-		resp.Count = clamp32(m.InvMax)
+		resp.Count = wire.Clamp32(m.InvMax)
 		resp.Values = append(resp.Values,
-			clamp32(m.BandBound), clamp32(m.Bands), clamp32(m.Choice),
-			clamp32(uint64(m.MeanInv()*1000)))
+			wire.Clamp32(m.BandBound), wire.Clamp32(m.Bands), wire.Clamp32(m.Choice),
+			wire.Clamp32(uint64(m.MeanInv()*1000)))
 
 	case wire.OpStats:
 		resp.Status = wire.StatusOK

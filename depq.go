@@ -206,6 +206,10 @@ func (q *DEPQ[T]) LatencySnapshot() *LatSnapshotSet { return q.pool.LatencySnaps
 // FlightRecords returns the merged band flight records, oldest first.
 func (q *DEPQ[T]) FlightRecords() []FlightRecord { return q.pool.FlightRecords() }
 
+// FlightTotal returns the total flight records ever written across all
+// bands, including ones the rings have overwritten.
+func (q *DEPQ[T]) FlightTotal() uint64 { return q.pool.FlightTotal() }
+
 // SetFlightDump arms automatic flight-recorder dumps on every band; see
 // Deque.SetFlightDump for the contract.
 func (q *DEPQ[T]) SetFlightDump(w io.Writer, minInterval time.Duration) {

@@ -50,7 +50,6 @@ type options struct {
 	capacitySet   bool
 	registryLimit int
 	registrySet   bool
-	noHotPath     bool
 	traceSample   int
 	traceBuf      int
 	reclaim       Reclamation
@@ -109,15 +108,6 @@ func WithCapacity(n int) Option {
 func WithRegistryLimit(n int) Option {
 	return func(o *options) { o.registryLimit, o.registrySet = n, true }
 }
-
-// WithHotPathOptimizations toggles the contention-engineering layer added on
-// top of the paper's algorithm: per-handle edge caching with throttled
-// global-hint publication, and per-handle slab freelist caches. On by
-// default; turning it off reproduces the paper-faithful hot path (every
-// operation reads and republishes the shared hints, every Deque[T] value
-// allocation goes through the shared freelist), which is what the
-// contention benchmark uses as its baseline.
-func WithHotPathOptimizations(on bool) Option { return func(o *options) { o.noHotPath = !on } }
 
 // Reclamation selects how the deque reclaims the internal nodes it removes
 // from its chain; see WithReclamation.
@@ -267,7 +257,6 @@ func (o options) coreConfig() core.Config {
 		NodeSize:          o.nodeSize,
 		MaxThreads:        o.maxThreads,
 		Elimination:       o.elimination,
-		NoEdgeCache:       o.noHotPath,
 		TraceSample:       o.traceSample,
 		TraceBuf:          o.traceBuf,
 		RegistryLimit:     uint32(o.registryLimit),
@@ -300,9 +289,8 @@ func (o options) coreConfig() core.Config {
 
 // Deque is an unbounded concurrent double-ended queue of T.
 type Deque[T any] struct {
-	core      *core.Deque
-	slab      *arena.Slab[T]
-	noHotPath bool
+	core *core.Deque
+	slab *arena.Slab[T]
 }
 
 // New returns an empty Deque[T]. It panics on invalid options (see
@@ -324,20 +312,15 @@ func NewChecked[T any](opts ...Option) (*Deque[T], error) {
 		return nil, err
 	}
 	return &Deque[T]{
-		core:      core.New(o.coreConfig()),
-		slab:      arena.NewSlab[T](uint32(o.capacity)),
-		noHotPath: o.noHotPath,
+		core: core.New(o.coreConfig()),
+		slab: arena.NewSlab[T](uint32(o.capacity)),
 	}, nil
 }
 
 // Register returns a Handle for the calling goroutine. It panics when more
 // than MaxThreads handles are registered.
 func (d *Deque[T]) Register() *Handle[T] {
-	h := &Handle[T]{d: d, h: d.core.Register()}
-	if !d.noHotPath {
-		h.sh = d.slab.NewHandle()
-	}
-	return h
+	return &Handle[T]{d: d, h: d.core.Register(), sh: d.slab.NewHandle()}
 }
 
 // Len returns the number of stored values. It is exact only in quiescence
@@ -349,34 +332,18 @@ func (d *Deque[T]) Len() int { return d.core.Len() }
 type Handle[T any] struct {
 	d       *Deque[T]
 	h       *core.Handle
-	sh      *arena.SlabHandle[T] // nil when hot-path optimizations are off
+	sh      *arena.SlabHandle[T] // per-handle slab freelist cache
 	scratch []uint32             // reusable slab-handle buffer for batch ops
 }
 
 // put parks v in the value slab through the handle's freelist cache,
 // reporting ErrFull when the slab's occupancy limit is reached.
 func (h *Handle[T]) put(v T) (uint32, error) {
-	var (
-		hv  uint32
-		err error
-	)
-	if h.sh != nil {
-		hv, err = h.sh.TryPut(v)
-	} else {
-		hv, err = h.d.slab.TryPut(v)
-	}
+	hv, err := h.sh.TryPut(v)
 	if err != nil {
 		return 0, ErrFull
 	}
 	return hv, nil
-}
-
-// take retrieves and frees the slab entry hv.
-func (h *Handle[T]) take(hv uint32) T {
-	if h.sh != nil {
-		return h.sh.Take(hv)
-	}
-	return h.d.slab.Take(hv)
 }
 
 // PushLeft inserts v at the left end. It returns nil on success or ErrFull
@@ -392,7 +359,7 @@ func (h *Handle[T]) PushLeft(v T) error {
 	if err := h.d.core.PushLeft(h.h, hv); err != nil {
 		// Only ErrFull is reachable: slab handles are below the
 		// reserved range, so ErrReserved cannot occur.
-		h.take(hv)
+		h.sh.Take(hv)
 		return err
 	}
 	return nil
@@ -405,7 +372,7 @@ func (h *Handle[T]) PushRight(v T) error {
 		return err
 	}
 	if err := h.d.core.PushRight(h.h, hv); err != nil {
-		h.take(hv)
+		h.sh.Take(hv)
 		return err
 	}
 	return nil
@@ -418,7 +385,7 @@ func (h *Handle[T]) PopLeft() (v T, ok bool) {
 	if !ok {
 		return v, false
 	}
-	return h.take(hv), true
+	return h.sh.Take(hv), true
 }
 
 // PopRight removes and returns the rightmost value; ok is false when the
@@ -428,7 +395,7 @@ func (h *Handle[T]) PopRight() (v T, ok bool) {
 	if !ok {
 		return v, false
 	}
-	return h.take(hv), true
+	return h.sh.Take(hv), true
 }
 
 // PushLeftCtx is PushLeft, aborting with ctx.Err() once ctx is cancelled.
@@ -439,7 +406,7 @@ func (h *Handle[T]) PushLeftCtx(ctx context.Context, v T) error {
 		return err
 	}
 	if err := h.d.core.PushLeftCtx(ctx, h.h, hv); err != nil {
-		h.take(hv)
+		h.sh.Take(hv)
 		return err
 	}
 	return nil
@@ -452,7 +419,7 @@ func (h *Handle[T]) PushRightCtx(ctx context.Context, v T) error {
 		return err
 	}
 	if err := h.d.core.PushRightCtx(ctx, h.h, hv); err != nil {
-		h.take(hv)
+		h.sh.Take(hv)
 		return err
 	}
 	return nil
@@ -466,7 +433,7 @@ func (h *Handle[T]) PopLeftCtx(ctx context.Context) (v T, ok bool, err error) {
 	if err != nil || !ok {
 		return v, false, err
 	}
-	return h.take(hv), true, nil
+	return h.sh.Take(hv), true, nil
 }
 
 // PopRightCtx mirrors PopLeftCtx.
@@ -475,7 +442,7 @@ func (h *Handle[T]) PopRightCtx(ctx context.Context) (v T, ok bool, err error) {
 	if err != nil || !ok {
 		return v, false, err
 	}
-	return h.take(hv), true, nil
+	return h.sh.Take(hv), true, nil
 }
 
 // TryPushLeft is PushLeft bounded to at most attempts retry cycles
@@ -487,7 +454,7 @@ func (h *Handle[T]) TryPushLeft(v T, attempts int) error {
 		return err
 	}
 	if err := h.d.core.TryPushLeft(h.h, hv, attempts); err != nil {
-		h.take(hv)
+		h.sh.Take(hv)
 		return err
 	}
 	return nil
@@ -500,7 +467,7 @@ func (h *Handle[T]) TryPushRight(v T, attempts int) error {
 		return err
 	}
 	if err := h.d.core.TryPushRight(h.h, hv, attempts); err != nil {
-		h.take(hv)
+		h.sh.Take(hv)
 		return err
 	}
 	return nil
@@ -514,7 +481,7 @@ func (h *Handle[T]) TryPopLeft(attempts int) (v T, ok bool, err error) {
 	if err != nil || !ok {
 		return v, false, err
 	}
-	return h.take(hv), true, nil
+	return h.sh.Take(hv), true, nil
 }
 
 // TryPopRight mirrors TryPopLeft.
@@ -523,7 +490,7 @@ func (h *Handle[T]) TryPopRight(attempts int) (v T, ok bool, err error) {
 	if err != nil || !ok {
 		return v, false, err
 	}
-	return h.take(hv), true, nil
+	return h.sh.Take(hv), true, nil
 }
 
 // buf returns the handle's scratch buffer with room for n slab handles.
@@ -541,7 +508,7 @@ func (h *Handle[T]) putN(vs []T, hvs []uint32) error {
 		hv, err := h.put(v)
 		if err != nil {
 			for j := 0; j < i; j++ {
-				h.take(hvs[j])
+				h.sh.Take(hvs[j])
 			}
 			return err
 		}
@@ -566,7 +533,7 @@ func (h *Handle[T]) PushLeftN(vs []T) (int, error) {
 	n, err := h.d.core.PushLeftN(h.h, hvs)
 	if err != nil {
 		for _, hv := range hvs[n:] {
-			h.take(hv)
+			h.sh.Take(hv)
 		}
 	}
 	return n, err
@@ -586,7 +553,7 @@ func (h *Handle[T]) PushRightN(vs []T) (int, error) {
 	n, err := h.d.core.PushRightN(h.h, hvs)
 	if err != nil {
 		for _, hv := range hvs[n:] {
-			h.take(hv)
+			h.sh.Take(hv)
 		}
 	}
 	return n, err
@@ -606,7 +573,7 @@ func (h *Handle[T]) PopLeftN(dst []T) int {
 	hvs := h.buf(len(dst))
 	n := h.d.core.PopLeftN(h.h, hvs)
 	for i := 0; i < n; i++ {
-		dst[i] = h.take(hvs[i])
+		dst[i] = h.sh.Take(hvs[i])
 	}
 	return n
 }
@@ -621,7 +588,7 @@ func (h *Handle[T]) PopRightN(dst []T) int {
 	hvs := h.buf(len(dst))
 	n := h.d.core.PopRightN(h.h, hvs)
 	for i := 0; i < n; i++ {
-		dst[i] = h.take(hvs[i])
+		dst[i] = h.sh.Take(hvs[i])
 	}
 	return n
 }
@@ -634,9 +601,7 @@ func (h *Handle[T]) PopRightN(dst []T) int {
 // handle remains usable; a dropped unflushed handle only strands its cached
 // indices and pending retires (both bounded), it does not leak values.
 func (h *Handle[T]) Flush() {
-	if h.sh != nil {
-		h.sh.Flush()
-	}
+	h.sh.Flush()
 	h.h.Drain()
 }
 

@@ -117,7 +117,7 @@ func TestRunLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Hist.Count() == 0 {
+		if r.Hist.Count == 0 {
 			t.Fatalf("%s: no latency samples", name)
 		}
 		if r.Hist.Quantile(0.99) < r.Hist.Quantile(0.5) {

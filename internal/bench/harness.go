@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -43,7 +42,7 @@ type Config struct {
 type Result struct {
 	Config  Config
 	Trials  []float64 // ops/sec per trial
-	Summary stats.Summary
+	Summary Summary
 }
 
 // Throughput returns the mean ops/sec, the figure the paper plots.
@@ -84,7 +83,7 @@ func Run(cfg Config) (Result, error) {
 		ops := runTrial(factory, cfg, uint64(trial))
 		trials = append(trials, float64(ops)/cfg.Duration.Seconds())
 	}
-	return Result{Config: cfg, Trials: trials, Summary: stats.Summarize(trials)}, nil
+	return Result{Config: cfg, Trials: trials, Summary: Summarize(trials)}, nil
 }
 
 // runTrial performs one timed run and returns the total operation count.

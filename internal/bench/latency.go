@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/stats"
+	"repro/internal/obs"
 	"repro/internal/xrand"
 )
 
@@ -16,7 +16,7 @@ import (
 // mode quantifies that comparison.
 type LatencyResult struct {
 	Config Config
-	Hist   *stats.Histogram // nanoseconds per operation (sampled)
+	Hist   *obs.LatSnapshot // nanoseconds per operation (sampled)
 }
 
 // latencySampleShift samples every 2^shift-th operation so the clock reads
@@ -52,7 +52,7 @@ func RunLatency(cfg Config) (LatencyResult, error) {
 		stop  atomic.Bool
 		wg    sync.WaitGroup
 		mu    sync.Mutex
-		total = stats.NewHistogram()
+		total = new(obs.LatSnapshot)
 	)
 	for w := 0; w < cfg.Threads; w++ {
 		wg.Add(1)
@@ -64,7 +64,7 @@ func RunLatency(cfg Config) (LatencyResult, error) {
 			}
 			s := inst.Session()
 			rng := xrand.NewXoshiro256(cfg.Seed + uint64(w)*7919 + 3)
-			local := stats.NewHistogram()
+			local := new(obs.LatSnapshot)
 			ops := uint64(0)
 			for !stop.Load() {
 				sample := ops&(1<<latencySampleShift-1) == 0

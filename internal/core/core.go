@@ -148,11 +148,6 @@ type Config struct {
 	// ElimSpins is how long ElimOnCriticalPath lingers waiting for a
 	// partner before trying the deque (ignored by the paper's placement).
 	ElimSpins int
-	// NoEdgeCache disables the per-handle edge cache and the hint-publish
-	// throttling that rides on it, restoring the publish-every-op behavior.
-	// It exists for benchmarking the optimization (see internal/bench's
-	// contention modes); production configs leave it false.
-	NoEdgeCache bool
 	// TraceSample > 0 arms the sampled op tracer: every TraceSample-th
 	// operation per handle records an obs.TraceRecord (op, side,
 	// transitions taken, attempts, duration) into a ring buffer read via
@@ -782,7 +777,7 @@ const hintPublishInterval = 8
 // unconditionally.
 func (h *Handle) publishLeft(hintW uint64, n *node, slotIdx int) {
 	h.hintPubL++
-	if h.hintPubL >= hintPublishInterval || h.d.cfg.NoEdgeCache {
+	if h.hintPubL >= hintPublishInterval {
 		h.hintPubL = 0
 		h.rec.Inc(obs.CtrHintPublish)
 		n.leftSlotHint.Store(int64(slotIdx))
@@ -793,7 +788,7 @@ func (h *Handle) publishLeft(hintW uint64, n *node, slotIdx int) {
 // publishRight mirrors publishLeft.
 func (h *Handle) publishRight(hintW uint64, n *node, slotIdx int) {
 	h.hintPubR++
-	if h.hintPubR >= hintPublishInterval || h.d.cfg.NoEdgeCache {
+	if h.hintPubR >= hintPublishInterval {
 		h.hintPubR = 0
 		h.rec.Inc(obs.CtrHintPublish)
 		n.rightSlotHint.Store(int64(slotIdx))

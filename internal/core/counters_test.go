@@ -66,16 +66,6 @@ func TestEdgeCacheHitsPingPong(t *testing.T) {
 	if st.EdgeCacheHits < total*9/10 {
 		t.Fatalf("EdgeCacheHits = %d of %d ops; cache is not being used", st.EdgeCacheHits, total)
 	}
-	// Legacy mode: the cache must stay cold.
-	dn := New(Config{NodeSize: 16, MaxThreads: 2, NoEdgeCache: true})
-	hn := dn.Register()
-	for i := uint32(0); i < 100; i++ {
-		dn.PushLeft(hn, i+1)
-		dn.PopLeft(hn)
-	}
-	if got := hn.Stats().EdgeCacheHits; got != 0 {
-		t.Fatalf("NoEdgeCache run recorded %d cache hits", got)
-	}
 }
 
 func TestRetriesCountedUnderContention(t *testing.T) {

@@ -151,7 +151,7 @@ func (d *Deque) lOracleSeeded(h *Handle) (edge *node, idx int, hintW uint64, cac
 	// guardNode both validates the cached node is still registered and, in
 	// hazard mode, re-advertises it first — so a scan between operations
 	// cannot recycle the node after this validation passes.
-	if c := h.edgeL; c != nil && !d.cfg.NoEdgeCache &&
+	if c := h.edgeL; c != nil &&
 		h.idxL >= 1 && h.idxL <= d.sz-1 && d.guardNode(h, c) &&
 		!chaos.Visit(chaos.EdgeCache) {
 		h.rec.Inc(obs.CtrEdgeCacheHit)
@@ -287,7 +287,7 @@ func (d *Deque) rOracle(h *Handle, rec *obs.Rec) (*node, int, uint64) {
 // rOracleSeeded mirrors lOracleSeeded for the right edge.
 func (d *Deque) rOracleSeeded(h *Handle) (edge *node, idx int, hintW uint64, cached bool) {
 	h.repin()
-	if c := h.edgeR; c != nil && !d.cfg.NoEdgeCache &&
+	if c := h.edgeR; c != nil &&
 		h.idxR >= 0 && h.idxR <= d.sz-2 && d.guardNode(h, c) &&
 		!chaos.Visit(chaos.EdgeCache) {
 		h.rec.Inc(obs.CtrEdgeCacheHit)

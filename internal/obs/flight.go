@@ -170,7 +170,7 @@ func (f *Flight) Record(r FlightRecord) {
 	}
 	f.mu.Unlock()
 	if dumpW != nil {
-		writeFlightDump(dumpW, recs, total)
+		WriteFlightDump(dumpW, recs, total)
 	}
 }
 
@@ -203,10 +203,12 @@ func (f *Flight) DumpTo(w io.Writer) error {
 	recs := f.recordsLocked()
 	total := f.total
 	f.mu.Unlock()
-	return writeFlightDump(w, recs, total)
+	return WriteFlightDump(w, recs, total)
 }
 
-func writeFlightDump(w io.Writer, recs []FlightRecord, total uint64) error {
+// WriteFlightDump renders recs, oldest first, in the dump format: a
+// header line with the retained and total counts, then one record a line.
+func WriteFlightDump(w io.Writer, recs []FlightRecord, total uint64) error {
 	bw := &errWriter{w: w}
 	fmt.Fprintf(bw, "flightrecorder: %d records (%d total)\n", len(recs), total)
 	for _, r := range recs {

@@ -8,10 +8,10 @@ import (
 	"sync"
 )
 
-// In-process latency histograms: the same log-bucketed geometry as
-// internal/stats.Histogram (~1.6% relative error), promoted into the
-// observability layer as per-handle single-writer recorders with the
-// churn-safe monotone merge idiom of the counter Registry. Each op class
+// In-process latency histograms: one log-bucketed geometry (~1.6%
+// relative error) shared by per-handle single-writer recorders, which
+// use the churn-safe monotone merge idiom of the counter Registry, and by
+// plain LatSnapshot recorders (the load generator, the latency ablation). Each op class
 // (core push/pop by side, batch ops, announced-op completion, pool
 // routing, steal sweeps, server-side service time) gets its own
 // distribution, so a latency snapshot decomposes the tail by layer.
@@ -87,9 +87,8 @@ func LatClassOf(op Op, side Side) LatClass {
 	return c
 }
 
-// Bucket geometry: identical sub-bucket math to internal/stats.Histogram
-// (32 minor buckets per power of two ~= 1.6% relative error), truncated to
-// LatMajors majors — values are nanoseconds, and 2^36ns ~= 69s is already
+// Bucket geometry: 32 minor buckets per power of two (~1.6% relative
+// error), truncated to LatMajors majors — values are nanoseconds, and 2^36ns ~= 69s is already
 // beyond any latency this system can produce; larger values clamp into the
 // last bucket.
 const (
@@ -118,7 +117,7 @@ func LatBucketIndex(v uint64) int {
 }
 
 // LatBucketLow returns the smallest value mapping to bucket i (the
-// quantile representative, exactly as in internal/stats).
+// quantile representative).
 func LatBucketLow(i int) uint64 {
 	if i < LatSubBuckets {
 		return uint64(i)
@@ -136,6 +135,17 @@ type LatSnapshot struct {
 	Count  uint64
 	Sum    uint64
 	Max    uint64
+}
+
+// Record tallies one observation (nanoseconds): the plain single-writer
+// recorder for code outside a LatRegistry, merged afterwards with Merge.
+func (s *LatSnapshot) Record(ns uint64) {
+	s.Counts[LatBucketIndex(ns)]++
+	s.Count++
+	s.Sum += ns
+	if ns > s.Max {
+		s.Max = ns
+	}
 }
 
 // Merge adds o's observations into s bucket-by-bucket (exact).
@@ -158,9 +168,9 @@ func (s *LatSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Quantile approximates the q-quantile (0 <= q <= 1) with the containing
-// bucket's lower bound, mirroring internal/stats.Histogram.Quantile. Empty
-// snapshots return 0; out-of-range q panics (always a harness bug).
+// Quantile approximates the q-quantile (0 <= q <= 1) with the lower bound
+// of the bucket holding the observation of rank q*Count. Empty snapshots
+// return 0; out-of-range q panics (always a harness bug).
 func (s *LatSnapshot) Quantile(q float64) uint64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("obs: Quantile(%v) out of [0,1]", q))
@@ -180,6 +190,17 @@ func (s *LatSnapshot) Quantile(q float64) uint64 {
 		}
 	}
 	return LatBucketLow(NumLatBuckets - 1)
+}
+
+// String formats the percentile line the load generator and the latency
+// ablation print.
+func (s *LatSnapshot) String() string {
+	if s.Count == 0 {
+		return "empty histogram"
+	}
+	return fmt.Sprintf("n=%d mean=%.0fns p50=%d p90=%d p99=%d p99.9=%d max=%d",
+		s.Count, s.Mean(), s.Quantile(0.50), s.Quantile(0.90),
+		s.Quantile(0.99), s.Quantile(0.999), s.Max)
 }
 
 // LatClassSummary is the per-class quantile digest embedded in Metrics.

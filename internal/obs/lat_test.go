@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -23,58 +25,112 @@ func TestLatBucketRoundTrip(t *testing.T) {
 	}
 }
 
-// fill records v into s bucket-exactly — variant-independent (LatSnapshot
-// is a plain struct), so accuracy tests run under obsoff too.
-func fill(s *LatSnapshot, v uint64) {
-	s.Counts[LatBucketIndex(v)]++
-	s.Count++
-	s.Sum += v
-	if v > s.Max {
-		s.Max = v
-	}
-}
-
+// TestLatSnapshotQuantile checks each row's digest against the sorted
+// sample: a quantile is its bucket's lower bound, so it is monotone in q,
+// exact below LatSubBuckets, else at most 1/LatSubBuckets under the exact
+// value; past the last major it clamps while Max stays exact. LatSnapshot
+// is a plain struct, so this runs under obsoff too.
 func TestLatSnapshotQuantile(t *testing.T) {
-	var s LatSnapshot
-	for i := uint64(1); i <= 10000; i++ {
-		fill(&s, i*100) // 100ns..1ms
-	}
-	p50 := s.Quantile(0.5)
-	if p50 < 450000 || p50 > 550000 {
-		t.Fatalf("p50 = %d, want ~500000", p50)
-	}
-	last := uint64(0)
-	for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
-		v := s.Quantile(q)
-		if v < last {
-			t.Fatalf("quantiles not monotone at q=%v: %d < %d", q, v, last)
+	seq := func(n int, gen func(i uint64) uint64) []uint64 {
+		vs := make([]uint64, n)
+		for i := range vs {
+			vs[i] = gen(uint64(i))
 		}
-		last = v
+		return vs
 	}
-	if m := s.Mean(); m < 490000 || m > 510000 {
-		t.Fatalf("mean = %v, want ~500050", m)
+	last := LatBucketLow(NumLatBuckets - 1)
+	for _, tc := range []struct {
+		name string
+		vals []uint64
+	}{
+		{"empty", nil},
+		{"single", []uint64{100}},
+		{"small values exact", seq(LatSubBuckets, func(i uint64) uint64 { return i })},
+		{"uniform 100ns..1ms", seq(10000, func(i uint64) uint64 { return (i + 1) * 100 })},
+		{"squared", seq(20000, func(i uint64) uint64 { return (i + 1) * (i + 1) })},
+		{"logspread", seq(20000, func(i uint64) uint64 { return 100 + (i%20)*(1<<(i%30)/1024+1) })},
+		{"random 32-bit", seq(20000, func(i uint64) uint64 { return (i*2654435761 + 3) % (1 << 32) })},
+		{"past the last major", []uint64{5, 1 << 40, 1 << 50}},
+	} {
+		var s LatSnapshot
+		var sum, max uint64
+		for _, v := range tc.vals {
+			s.Record(v)
+			sum += v
+			if v > max {
+				max = v
+			}
+		}
+		n := uint64(len(tc.vals))
+		if s.Count != n || s.Sum != sum || s.Max != max {
+			t.Errorf("%s: count/sum/max = %d/%d/%d, want %d/%d/%d",
+				tc.name, s.Count, s.Sum, s.Max, n, sum, max)
+		}
+		if n == 0 {
+			if s.Mean() != 0 || s.Quantile(0.5) != 0 || s.String() != "empty histogram" {
+				t.Errorf("%s: mean %v, p50 %d, %q", tc.name, s.Mean(), s.Quantile(0.5), s.String())
+			}
+			continue
+		}
+		if want := float64(sum) / float64(n); s.Mean() != want {
+			t.Errorf("%s: mean = %v, want %v", tc.name, s.Mean(), want)
+		}
+		if !strings.HasPrefix(s.String(), fmt.Sprintf("n=%d ", n)) {
+			t.Errorf("%s: String() = %q", tc.name, s.String())
+		}
+		sorted := append([]uint64(nil), tc.vals...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		prev := uint64(0)
+		for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
+			got := s.Quantile(q)
+			exact := sorted[min(int(q*float64(n)), int(n)-1)]
+			switch {
+			case got < prev:
+				t.Errorf("%s: quantiles not monotone at q=%v: %d < %d", tc.name, q, got, prev)
+			case exact >= last:
+				if got != last {
+					t.Errorf("%s: Quantile(%v) = %d, want clamped %d", tc.name, q, got, last)
+				}
+			case exact < LatSubBuckets:
+				if got != exact {
+					t.Errorf("%s: Quantile(%v) = %d, want exact %d", tc.name, q, got, exact)
+				}
+			case got > exact || float64(exact-got)/float64(exact) > 1.0/LatSubBuckets:
+				t.Errorf("%s: Quantile(%v) = %d outside one bucket below exact %d", tc.name, q, got, exact)
+			}
+			prev = got
+		}
+	}
+	for _, q := range []float64{-0.1, 1.1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Quantile(%v) did not panic", q)
+				}
+			}()
+			new(LatSnapshot).Quantile(q)
+		}()
 	}
 }
 
+// TestLatSnapshotMergeExact splits one stream across snapshots, merges
+// them (into an empty one, with an empty one last) and requires the
+// result to equal recording it all in one, bucket for bucket.
 func TestLatSnapshotMergeExact(t *testing.T) {
-	var whole, a, b LatSnapshot
-	for i := uint64(0); i < 5000; i++ {
-		v := (i*2654435761 + 3) % 1000000
-		fill(&whole, v)
-		if i%2 == 0 {
-			fill(&a, v)
-		} else {
-			fill(&b, v)
+	for _, parts := range []int{1, 2, 7} {
+		var whole, merged LatSnapshot
+		shards := make([]LatSnapshot, parts+1) // shards[parts] stays empty
+		for i := uint64(0); i < 5000; i++ {
+			v := (i*2654435761 + 3) % 1000000
+			whole.Record(v)
+			shards[i%uint64(parts)].Record(v)
 		}
-	}
-	a.Merge(&b)
-	if a.Count != whole.Count || a.Sum != whole.Sum || a.Max != whole.Max {
-		t.Fatalf("merge lost mass: %d/%d/%d vs %d/%d/%d",
-			a.Count, a.Sum, a.Max, whole.Count, whole.Sum, whole.Max)
-	}
-	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-		if m, w := a.Quantile(q), whole.Quantile(q); m != w {
-			t.Fatalf("Quantile(%v): merged %d != whole %d", q, m, w)
+		for i := range shards {
+			merged.Merge(&shards[i])
+		}
+		if merged != whole {
+			t.Fatalf("%d parts: merge differs: %d/%d/%d vs %d/%d/%d", parts,
+				merged.Count, merged.Sum, merged.Max, whole.Count, whole.Sum, whole.Max)
 		}
 	}
 }
@@ -149,7 +205,7 @@ func TestMergeLatSummariesWeighted(t *testing.T) {
 func TestWriteLatProm(t *testing.T) {
 	var set LatSnapshotSet
 	for i := uint64(1); i <= 1000; i++ {
-		fill(&set.Classes[LatPopLeft], i*1000)
+		set.Classes[LatPopLeft].Record(i * 1000)
 	}
 	var sb strings.Builder
 	if err := WriteLatProm(&sb, "test", &set); err != nil {

@@ -2,9 +2,9 @@
 // (cmd/dequed over a Pool or Relaxed front-end, cmd/schedd over a DEPQ):
 // the accept loop, graceful and hard drain, the handle freelist, and the
 // pipelined request loop with its sampled service timing. A service
-// supplies only what differs between them: how to register a handle, how
-// to apply one validated request with it, and how to park it between
-// connections.
+// supplies how to register a handle, apply a validated request with it,
+// and park it between connections. Process is the lifecycle around it,
+// shared with cmd/obsserve.
 package server
 
 import (

@@ -21,8 +21,7 @@ type pingService struct {
 	flushed    atomic.Int32
 }
 
-func startPing(t *testing.T, maxConns int) (*pingService, string) {
-	t.Helper()
+func newPing(maxConns int) *pingService {
 	p := &pingService{}
 	p.srv = New(maxConns,
 		func() *int { p.registered.Add(1); return new(int) },
@@ -39,6 +38,12 @@ func startPing(t *testing.T, maxConns int) (*pingService, string) {
 			}
 		},
 		func(*int) { p.flushed.Add(1) })
+	return p
+}
+
+func startPing(t *testing.T, maxConns int) (*pingService, string) {
+	t.Helper()
+	p := newPing(maxConns)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -126,6 +126,15 @@ type RelaxStats struct {
 	MeanMilli uint32 // mean observed rank error x1000
 }
 
+// Clamp32 saturates a uint64 gauge into a wire uint32, as the servers
+// fill the OpRelax and OpDepq snapshots.
+func Clamp32(v uint64) uint32 {
+	if v > 1<<32-1 {
+		return 1<<32 - 1
+	}
+	return uint32(v)
+}
+
 // Relax queries the observed-relaxation snapshot.
 func (c *Client) Relax() (RelaxStats, error) {
 	resp, err := c.Do(&Request{Op: OpRelax})

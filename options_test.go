@@ -78,7 +78,7 @@ func TestGoodOptionsAccepted(t *testing.T) {
 		{"helping with custom watchdog", []Option{WithHelping(true), WithWatchdogThreshold(8)}},
 		{"kitchen sink", []Option{
 			WithNodeSize(64), WithMaxThreads(8), WithCapacity(1 << 10),
-			WithElimination(true), WithHotPathOptimizations(false), WithTracing(100),
+			WithElimination(true), WithTracing(100),
 			WithHelping(true), WithWatchdogThreshold(128),
 		}},
 	}

@@ -52,6 +52,11 @@ grep -q '^schedd_depq_pops_total' "$TMP/schedd.err" || {
     cat "$TMP/schedd.err" >&2
     exit 1
 }
+grep -q '^schedd_op_latency_ns_count' "$TMP/schedd.err" || {
+    echo "smoke_sched: final snapshot lacks the op-latency histograms /metrics serves" >&2
+    cat "$TMP/schedd.err" >&2
+    exit 1
+}
 
 python3 - "$TMP/load.json" "$BOUND" <<'EOF'
 import json, sys

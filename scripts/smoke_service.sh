@@ -43,6 +43,11 @@ grep -q '^dequed_ops_total' "$TMP/dequed.err" || {
     cat "$TMP/dequed.err" >&2
     exit 1
 }
+grep -q '^dequed_op_latency_ns_count' "$TMP/dequed.err" || {
+    echo "smoke_service: final snapshot lacks the op-latency histograms /metrics serves" >&2
+    cat "$TMP/dequed.err" >&2
+    exit 1
+}
 
 python3 - "$TMP/load.json" <<'EOF'
 import json, sys

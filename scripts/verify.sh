@@ -32,8 +32,8 @@ go test ./... -count=1 -cpu 2
 echo "== go test -race -short (core, arena, obs, root) =="
 go test -race -short -count=1 -cpu 2 ./internal/core/ ./internal/arena/ ./internal/obs/ .
 
-echo "== go test -race -short (shard, wire, dequed, schedd) =="
-go test -race -short -count=1 -cpu 2 ./internal/shard/ ./internal/wire/ ./cmd/dequed/ ./cmd/schedd/
+echo "== go test -race -short (shard, wire, server, dequed, schedd) =="
+go test -race -short -count=1 -cpu 2 ./internal/shard/ ./internal/wire/ ./internal/server/ ./cmd/dequed/ ./cmd/schedd/
 
 echo "== go test -race -count=10 (relaxed, DEPQ and steal pops: one shared certify loop) =="
 go test -race -count=10 -cpu 2 -run 'Relaxed|DEPQ|Steal' .
