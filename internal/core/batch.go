@@ -35,59 +35,50 @@ import (
 // as if the equivalent individual PushLeft calls had failed partway), and
 // the returned count reports how many elements landed.
 func (d *Deque) PushLeftN(h *Handle, vals []uint32) (int, error) {
+	return d.pushN(h, obs.SideLeft, vals)
+}
+
+// pushN is PushLeftN/PushRightN on side s. Each run's head goes through
+// the push loop as a head (no per-op steps, no announce), and the side's
+// run extension continues from the slot the head landed on.
+func (d *Deque) pushN(h *Handle, s obs.Side, vals []uint32) (int, error) {
 	defer h.unpin()
 	for _, v := range vals {
 		if word.IsReserved(v) {
 			return 0, ErrReserved
 		}
 	}
-	h.curOp, h.curSide = obs.OpPush, obs.SideLeft
+	h.curOp, h.curSide = obs.OpPush, s
 	bt := d.latNow() // whole-batch latency, always recorded (amortized over n)
 	defer d.latEndAt(h, obs.LatBatchPush, bt)
-	if d.lElim != nil {
+	if a := d.elimArray(s); a != nil {
 		for i, v := range vals {
-			if err := d.pushLeftElim(h, v); err != nil {
+			if err := d.pushElim(h, s, a, v); err != nil {
 				return i, err
 			}
 		}
 		return len(vals), nil
 	}
+	head := Bound{head: true}
 	i := 0
 	for i < len(vals) {
-		n, err := d.pushLeftRun(h, vals[i:])
-		i += n
-		if err != nil {
+		if err := d.Push(h, s, vals[i], &head); err != nil {
 			return i, err
+		}
+		if s == obs.SideLeft {
+			i += d.pushLeftRun(h, head.idx, vals[i:])
+		} else {
+			i += d.pushRightRun(h, head.idx, vals[i:])
 		}
 	}
 	return i, nil
 }
 
-// pushLeftRun pushes vals[0] through the full protocol, then extends the run
-// with interior transitions while the left edge stays where the previous
-// element put it. Returns the number of elements pushed (>= 1) or an
-// allocation error (nothing pushed by this run).
-func (d *Deque) pushLeftRun(h *Handle, vals []uint32) (int, error) {
-	var idx int
-	for {
-		e, ix, hw, cached := d.lOracleSeeded(h)
-		if d.pushLeftTransitions(h, vals[0], e, ix, hw) {
-			if cached {
-				h.EdgeCacheHits++
-			}
-			h.noteSuccess()
-			idx = ix
-			break
-		}
-		if err := h.takeAllocErr(); err != nil {
-			return 0, err
-		}
-		if cached {
-			h.edgeL = nil // stale cache: rerun the real oracle
-		}
-		h.noteFailure()
-	}
-
+// pushLeftRun extends a run whose head vals[0] just landed through the full
+// protocol at edge index idx: it pushes the following elements with
+// interior transitions while the left edge stays where the previous
+// element put it. Returns the number of elements pushed, head included.
+func (d *Deque) pushLeftRun(h *Handle, idx int, vals []uint32) int {
 	// The transition left the new outermost datum in h.edgeL: at idx-1 for
 	// an interior push, at sz-2 for an append or straddle (both place the
 	// datum in the new node's innermost data slot).
@@ -128,21 +119,24 @@ func (d *Deque) pushLeftRun(h *Handle, vals []uint32) (int, error) {
 		h.rec.Inc(obs.CtrHintPublish)
 		d.left.set(d.left.w.Load(), nd)
 	}
-	return n, nil
+	return n
 }
 
 // PopLeftN pops up to len(dst) values from the left end into dst in pop
 // order (dst[0] was the leftmost). It is equivalent to calling PopLeft
 // repeatedly, stopping early when the deque reports EMPTY. Returns the
 // number of values popped.
-func (d *Deque) PopLeftN(h *Handle, dst []uint32) int {
+func (d *Deque) PopLeftN(h *Handle, dst []uint32) int { return d.popN(h, obs.SideLeft, dst) }
+
+// popN is PopLeftN/PopRightN on side s, built like pushN.
+func (d *Deque) popN(h *Handle, s obs.Side, dst []uint32) int {
 	defer h.unpin()
-	h.curOp, h.curSide = obs.OpPop, obs.SideLeft
+	h.curOp, h.curSide = obs.OpPop, s
 	bt := d.latNow() // whole-batch latency, always recorded (amortized over n)
 	defer d.latEndAt(h, obs.LatBatchPop, bt)
-	if d.lElim != nil {
+	if d.elimArray(s) != nil {
 		for i := range dst {
-			v, ok := d.PopLeft(h)
+			v, ok, _ := d.Pop(h, s, nil)
 			if !ok {
 				return i
 			}
@@ -150,42 +144,27 @@ func (d *Deque) PopLeftN(h *Handle, dst []uint32) int {
 		}
 		return len(dst)
 	}
+	head := Bound{head: true}
 	n := 0
 	for n < len(dst) {
-		got, empty := d.popLeftRun(h, dst[n:])
-		n += got
-		if empty {
+		v, ok, _ := d.Pop(h, s, &head)
+		if !ok {
 			break
+		}
+		dst[n] = v
+		if s == obs.SideLeft {
+			n += d.popLeftRun(h, head.idx, dst[n:])
+		} else {
+			n += d.popRightRun(h, head.idx, dst[n:])
 		}
 	}
 	return n
 }
 
-// popLeftRun pops dst[0] through the full protocol, then extends the run
-// with interior transitions walking inward. Returns the count popped and
-// whether the deque reported EMPTY.
-func (d *Deque) popLeftRun(h *Handle, dst []uint32) (int, bool) {
-	var idx int
-	for {
-		e, ix, hw, cached := d.lOracleSeeded(h)
-		if v, empty, done := d.popLeftTransitions(h, e, ix, hw); done {
-			if cached {
-				h.EdgeCacheHits++
-			}
-			h.noteSuccess()
-			if empty {
-				return 0, true
-			}
-			dst[0] = v
-			idx = ix
-			break
-		}
-		if cached {
-			h.edgeL = nil // stale cache: rerun the real oracle
-		}
-		h.noteFailure()
-	}
-
+// popLeftRun extends a run whose head dst[0] was just popped through the
+// full protocol at edge index idx, with interior transitions walking
+// inward. Returns the count popped, head included.
+func (d *Deque) popLeftRun(h *Handle, idx int, dst []uint32) int {
 	// The popped datum sat at edge.slots[idx]; the next-leftmost, if any,
 	// sits one slot inward in the same node.
 	nd := h.edgeL
@@ -227,7 +206,7 @@ func (d *Deque) popLeftRun(h *Handle, dst []uint32) (int, bool) {
 		h.rec.Inc(obs.CtrHintPublish)
 		d.left.set(d.left.w.Load(), nd)
 	}
-	return n, false
+	return n
 }
 
 // PushRightN mirrors PushLeftN: elements are pushed in slice order, each
@@ -235,56 +214,11 @@ func (d *Deque) popLeftRun(h *Handle, dst []uint32) (int, bool) {
 // On ErrFull the already-pushed prefix stays pushed, and the returned count
 // reports how many elements landed (see PushLeftN).
 func (d *Deque) PushRightN(h *Handle, vals []uint32) (int, error) {
-	defer h.unpin()
-	for _, v := range vals {
-		if word.IsReserved(v) {
-			return 0, ErrReserved
-		}
-	}
-	h.curOp, h.curSide = obs.OpPush, obs.SideRight
-	bt := d.latNow() // whole-batch latency, always recorded (amortized over n)
-	defer d.latEndAt(h, obs.LatBatchPush, bt)
-	if d.rElim != nil {
-		for i, v := range vals {
-			if err := d.pushRightElim(h, v); err != nil {
-				return i, err
-			}
-		}
-		return len(vals), nil
-	}
-	i := 0
-	for i < len(vals) {
-		n, err := d.pushRightRun(h, vals[i:])
-		i += n
-		if err != nil {
-			return i, err
-		}
-	}
-	return i, nil
+	return d.pushN(h, obs.SideRight, vals)
 }
 
 // pushRightRun mirrors pushLeftRun.
-func (d *Deque) pushRightRun(h *Handle, vals []uint32) (int, error) {
-	var idx int
-	for {
-		e, ix, hw, cached := d.rOracleSeeded(h)
-		if d.pushRightTransitions(h, vals[0], e, ix, hw) {
-			if cached {
-				h.EdgeCacheHits++
-			}
-			h.noteSuccess()
-			idx = ix
-			break
-		}
-		if err := h.takeAllocErr(); err != nil {
-			return 0, err
-		}
-		if cached {
-			h.edgeR = nil // stale cache: rerun the real oracle
-		}
-		h.noteFailure()
-	}
-
+func (d *Deque) pushRightRun(h *Handle, idx int, vals []uint32) int {
 	nd := h.edgeR
 	j := 1
 	if idx != d.sz-2 {
@@ -322,59 +256,14 @@ func (d *Deque) pushRightRun(h *Handle, vals []uint32) (int, error) {
 		h.rec.Inc(obs.CtrHintPublish)
 		d.right.set(d.right.w.Load(), nd)
 	}
-	return n, nil
-}
-
-// PopRightN mirrors PopLeftN for the right end.
-func (d *Deque) PopRightN(h *Handle, dst []uint32) int {
-	defer h.unpin()
-	h.curOp, h.curSide = obs.OpPop, obs.SideRight
-	bt := d.latNow() // whole-batch latency, always recorded (amortized over n)
-	defer d.latEndAt(h, obs.LatBatchPop, bt)
-	if d.rElim != nil {
-		for i := range dst {
-			v, ok := d.PopRight(h)
-			if !ok {
-				return i
-			}
-			dst[i] = v
-		}
-		return len(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		got, empty := d.popRightRun(h, dst[n:])
-		n += got
-		if empty {
-			break
-		}
-	}
 	return n
 }
 
-// popRightRun mirrors popLeftRun.
-func (d *Deque) popRightRun(h *Handle, dst []uint32) (int, bool) {
-	var idx int
-	for {
-		e, ix, hw, cached := d.rOracleSeeded(h)
-		if v, empty, done := d.popRightTransitions(h, e, ix, hw); done {
-			if cached {
-				h.EdgeCacheHits++
-			}
-			h.noteSuccess()
-			if empty {
-				return 0, true
-			}
-			dst[0] = v
-			idx = ix
-			break
-		}
-		if cached {
-			h.edgeR = nil // stale cache: rerun the real oracle
-		}
-		h.noteFailure()
-	}
+// PopRightN mirrors PopLeftN for the right end.
+func (d *Deque) PopRightN(h *Handle, dst []uint32) int { return d.popN(h, obs.SideRight, dst) }
 
+// popRightRun mirrors popLeftRun.
+func (d *Deque) popRightRun(h *Handle, idx int, dst []uint32) int {
 	nd := h.edgeR
 	j := idx - 1
 	n := 1
@@ -414,5 +303,5 @@ func (d *Deque) popRightRun(h *Handle, dst []uint32) (int, bool) {
 		h.rec.Inc(obs.CtrHintPublish)
 		d.right.set(d.right.w.Load(), nd)
 	}
-	return n, false
+	return n
 }

@@ -116,50 +116,23 @@ func (d *Deque) helpScan(h *Handle) {
 // the claim back); done=true carries the op's outcome — including a pop's
 // EMPTY and a push's ErrFull, which are completions, not failures.
 func (d *Deque) execAnnounced(h *Handle, op help.Op) (help.Result, bool) {
+	_, s := obsOpSide(op)
 	for n := 0; n < d.helpAttempts; n++ {
-		switch {
-		case op.Kind == help.Push && op.Side == help.Left:
-			edge, idx, hintW, cached := d.lOracleSeeded(h)
-			if d.pushLeftTransitions(h, op.Operand, edge, idx, hintW) {
+		edge, idx, hintW, cached := d.seededOracle(h, s)
+		if op.Kind == help.Push {
+			if d.pushTransitions(h, s, op.Operand, edge, idx, hintW) {
 				h.noteSuccess()
 				return help.Result{}, true
 			}
 			if err := h.takeAllocErr(); err != nil {
 				return help.Result{Full: true}, true
 			}
-			if cached {
-				h.edgeL = nil
-			}
-		case op.Kind == help.Push && op.Side == help.Right:
-			edge, idx, hintW, cached := d.rOracleSeeded(h)
-			if d.pushRightTransitions(h, op.Operand, edge, idx, hintW) {
-				h.noteSuccess()
-				return help.Result{}, true
-			}
-			if err := h.takeAllocErr(); err != nil {
-				return help.Result{Full: true}, true
-			}
-			if cached {
-				h.edgeR = nil
-			}
-		case op.Kind == help.Pop && op.Side == help.Left:
-			edge, idx, hintW, cached := d.lOracleSeeded(h)
-			if v, empty, done := d.popLeftTransitions(h, edge, idx, hintW); done {
-				h.noteSuccess()
-				return help.Result{Value: v, Empty: empty}, true
-			}
-			if cached {
-				h.edgeL = nil
-			}
-		default: // pop right
-			edge, idx, hintW, cached := d.rOracleSeeded(h)
-			if v, empty, done := d.popRightTransitions(h, edge, idx, hintW); done {
-				h.noteSuccess()
-				return help.Result{Value: v, Empty: empty}, true
-			}
-			if cached {
-				h.edgeR = nil
-			}
+		} else if v, empty, done := d.popTransitions(h, s, edge, idx, hintW); done {
+			h.noteSuccess()
+			return help.Result{Value: v, Empty: empty}, true
+		}
+		if cached {
+			h.dropEdge(s)
 		}
 		h.noteFailure()
 	}

@@ -2,94 +2,14 @@ package core
 
 import (
 	"repro/internal/chaos"
-	"repro/internal/elim"
-	"repro/internal/help"
 	"repro/internal/obs"
 	"repro/internal/word"
 )
 
-// This file implements push_left (Fig. 6) and pop_left (Fig. 12), plus their
-// elimination-wrapped variants (Fig. 13). right.go mirrors every function.
-
-// PushLeft inserts v at the left end. Errors: ErrReserved for the four
-// reserved slot values, ErrFull when growing the chain is impossible
-// because the node registry is exhausted.
-func (d *Deque) PushLeft(h *Handle, v uint32) error {
-	if word.IsReserved(v) {
-		return ErrReserved
-	}
-	defer h.unpin()
-	if d.helpA != nil {
-		d.maybeHelp(h)
-	}
-	tr := d.opStart(h, obs.OpPush, obs.SideLeft)
-	if d.lElim != nil {
-		err := d.pushLeftElim(h, v)
-		d.opEnd(tr, h, obs.OpPush, obs.SideLeft, err != nil)
-		return err
-	}
-	for {
-		edge, idx, hintW, cached := d.lOracleSeeded(h)
-		if d.pushLeftTransitions(h, v, edge, idx, hintW) {
-			if cached {
-				h.EdgeCacheHits++
-			}
-			h.noteSuccess()
-			d.opEnd(tr, h, obs.OpPush, obs.SideLeft, false)
-			return nil
-		}
-		if err := h.takeAllocErr(); err != nil {
-			d.opEnd(tr, h, obs.OpPush, obs.SideLeft, true)
-			return err
-		}
-		if cached {
-			h.edgeL = nil // cache was stale: next attempt runs the real oracle
-		}
-		h.noteFailure()
-		if d.shouldAnnounce(h) {
-			if err, announced := d.announcedPush(nil, h, help.Left, v); announced {
-				d.opEnd(tr, h, obs.OpPush, obs.SideLeft, err != nil)
-				return err
-			}
-		}
-	}
-}
-
-// PopLeft removes and returns the leftmost value; ok is false when the
-// deque was empty (the paper's EMPTY).
-func (d *Deque) PopLeft(h *Handle) (v uint32, ok bool) {
-	defer h.unpin()
-	if d.helpA != nil {
-		d.maybeHelp(h)
-	}
-	tr := d.opStart(h, obs.OpPop, obs.SideLeft)
-	if d.lElim != nil {
-		v, ok = d.popLeftElim(h)
-		d.opEnd(tr, h, obs.OpPop, obs.SideLeft, false)
-		return v, ok
-	}
-	for {
-		edge, idx, hintW, cached := d.lOracleSeeded(h)
-		if v, empty, done := d.popLeftTransitions(h, edge, idx, hintW); done {
-			if cached {
-				h.EdgeCacheHits++
-			}
-			h.noteSuccess()
-			d.opEnd(tr, h, obs.OpPop, obs.SideLeft, false)
-			return v, !empty
-		}
-		if cached {
-			h.edgeL = nil
-		}
-		h.noteFailure()
-		if d.shouldAnnounce(h) {
-			if v, ok, _, announced := d.announcedPop(nil, h, help.Left); announced {
-				d.opEnd(tr, h, obs.OpPop, obs.SideLeft, false)
-				return v, ok
-			}
-		}
-	}
-}
+// This file implements the left side's transitions: push_left (Fig. 6) and
+// pop_left (Fig. 12), one attempt each against the oracle's edge. The retry
+// loops that drive them are shared with the right side (ops.go). right.go
+// mirrors every function.
 
 // spareLeft returns a node shaped for a left append — every slot LN, the
 // new datum in the innermost data slot, the right link aimed back at edge
@@ -471,125 +391,4 @@ func (d *Deque) refreshLeftHint(h *Handle) {
 	h.rec.Inc(obs.CtrHintPublish)
 	nd.leftSlotHint.Store(int64(idx))
 	d.left.set(hw, nd)
-}
-
-// pushLeftElim is push_left wrapped in the Fig. 13 elimination protocol:
-// advertise, oracle, withdraw (possibly already matched), try the deque,
-// scan on failure, re-advertise. Registry exhaustion surfaces as ErrFull;
-// the advert is always withdrawn by the loop-top Remove before the error
-// path can be taken, so no orphaned advert survives the return.
-func (d *Deque) pushLeftElim(h *Handle, v uint32) error {
-	if d.cfg.ElimPlacement == ElimOnCriticalPath {
-		if d.elimFirst(h, d.lElim, elim.Push, v) {
-			return nil
-		}
-	}
-	d.lElim.Insert(h.tid, elim.Push, v)
-	for {
-		h.repin()
-		edge, idx, hintW := d.lOracle(h, h.rec)
-		if _, eliminated := d.lElim.Remove(h.tid); eliminated {
-			h.rec.Inc(obs.CtrElimPush)
-			h.Eliminated++
-			h.noteSuccess()
-			return nil
-		}
-		if d.pushLeftTransitions(h, v, edge, idx, hintW) {
-			h.noteSuccess()
-			return nil
-		}
-		if err := h.takeAllocErr(); err != nil {
-			return err
-		}
-		// Contention on the deque: hunt for a partner (lines 269-273).
-		if _, ok := d.lElim.Scan(h.tid, elim.Push, v); ok {
-			h.rec.Inc(obs.CtrElimPush)
-			h.Eliminated++
-			h.noteSuccess()
-			return nil
-		}
-		h.rec.Inc(obs.CtrElimMiss)
-		d.lElim.Insert(h.tid, elim.Push, v)
-		h.noteFailure()
-	}
-}
-
-// popLeftElim is pop_left wrapped in the Fig. 13 elimination protocol.
-func (d *Deque) popLeftElim(h *Handle) (uint32, bool) {
-	if d.cfg.ElimPlacement == ElimOnCriticalPath {
-		if v, ok := d.elimFirstPop(h, d.lElim); ok {
-			return v, true
-		}
-	}
-	d.lElim.Insert(h.tid, elim.Pop, 0)
-	for {
-		h.repin()
-		edge, idx, hintW := d.lOracle(h, h.rec)
-		if v, eliminated := d.lElim.Remove(h.tid); eliminated {
-			h.rec.Inc(obs.CtrElimPop)
-			h.Eliminated++
-			h.noteSuccess()
-			return v, true
-		}
-		if v, empty, done := d.popLeftTransitions(h, edge, idx, hintW); done {
-			h.noteSuccess()
-			return v, !empty
-		}
-		if v, ok := d.lElim.Scan(h.tid, elim.Pop, 0); ok {
-			h.rec.Inc(obs.CtrElimPop)
-			h.Eliminated++
-			h.noteSuccess()
-			return v, true
-		}
-		h.rec.Inc(obs.CtrElimMiss)
-		d.lElim.Insert(h.tid, elim.Pop, 0)
-		h.noteFailure()
-	}
-}
-
-// elimFirst implements the naive on-critical-path placement for the A4
-// ablation: linger in the array hoping for a partner before touching the
-// deque. Reports whether the operation was eliminated.
-func (d *Deque) elimFirst(h *Handle, a *elim.Array, op elim.Op, v uint32) bool {
-	a.Insert(h.tid, op, v)
-	spin(d.cfg.ElimSpins)
-	if _, eliminated := a.Remove(h.tid); eliminated {
-		h.rec.Inc(obs.CtrElimPush)
-		h.Eliminated++
-		return true
-	}
-	if _, ok := a.Scan(h.tid, op, v); ok {
-		h.rec.Inc(obs.CtrElimPush)
-		h.Eliminated++
-		return true
-	}
-	h.rec.Inc(obs.CtrElimMiss)
-	return false
-}
-
-// elimFirstPop is elimFirst for pops, which carry a value back.
-func (d *Deque) elimFirstPop(h *Handle, a *elim.Array) (uint32, bool) {
-	a.Insert(h.tid, elim.Pop, 0)
-	spin(d.cfg.ElimSpins)
-	if v, eliminated := a.Remove(h.tid); eliminated {
-		h.rec.Inc(obs.CtrElimPop)
-		h.Eliminated++
-		return v, true
-	}
-	if v, ok := a.Scan(h.tid, elim.Pop, 0); ok {
-		h.rec.Inc(obs.CtrElimPop)
-		h.Eliminated++
-		return v, true
-	}
-	h.rec.Inc(obs.CtrElimMiss)
-	return 0, false
-}
-
-// spin burns roughly n cycles without entering the scheduler.
-//
-//go:noinline
-func spin(n int) {
-	for i := 0; i < n; i++ {
-		_ = i
-	}
 }

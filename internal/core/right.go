@@ -2,8 +2,6 @@ package core
 
 import (
 	"repro/internal/chaos"
-	"repro/internal/elim"
-	"repro/internal/help"
 	"repro/internal/obs"
 	"repro/internal/word"
 )
@@ -11,86 +9,6 @@ import (
 // This file mirrors left.go for the right side ("symmetric code" — Figs. 6
 // and 12 captions). The mirror swaps LN↔RN and LS↔RS, reflects indices
 // (1 ↔ sz-2, 0 ↔ sz-1, idx-1 ↔ idx+1), and swaps the hint sides.
-
-// PushRight inserts v at the right end. Errors: ErrReserved for the four
-// reserved slot values, ErrFull when growing the chain is impossible
-// because the node registry is exhausted.
-func (d *Deque) PushRight(h *Handle, v uint32) error {
-	if word.IsReserved(v) {
-		return ErrReserved
-	}
-	defer h.unpin()
-	if d.helpA != nil {
-		d.maybeHelp(h)
-	}
-	tr := d.opStart(h, obs.OpPush, obs.SideRight)
-	if d.rElim != nil {
-		err := d.pushRightElim(h, v)
-		d.opEnd(tr, h, obs.OpPush, obs.SideRight, err != nil)
-		return err
-	}
-	for {
-		edge, idx, hintW, cached := d.rOracleSeeded(h)
-		if d.pushRightTransitions(h, v, edge, idx, hintW) {
-			if cached {
-				h.EdgeCacheHits++
-			}
-			h.noteSuccess()
-			d.opEnd(tr, h, obs.OpPush, obs.SideRight, false)
-			return nil
-		}
-		if err := h.takeAllocErr(); err != nil {
-			d.opEnd(tr, h, obs.OpPush, obs.SideRight, true)
-			return err
-		}
-		if cached {
-			h.edgeR = nil // cache was stale: next attempt runs the real oracle
-		}
-		h.noteFailure()
-		if d.shouldAnnounce(h) {
-			if err, announced := d.announcedPush(nil, h, help.Right, v); announced {
-				d.opEnd(tr, h, obs.OpPush, obs.SideRight, err != nil)
-				return err
-			}
-		}
-	}
-}
-
-// PopRight removes and returns the rightmost value; ok is false when the
-// deque was empty.
-func (d *Deque) PopRight(h *Handle) (v uint32, ok bool) {
-	defer h.unpin()
-	if d.helpA != nil {
-		d.maybeHelp(h)
-	}
-	tr := d.opStart(h, obs.OpPop, obs.SideRight)
-	if d.rElim != nil {
-		v, ok = d.popRightElim(h)
-		d.opEnd(tr, h, obs.OpPop, obs.SideRight, false)
-		return v, ok
-	}
-	for {
-		edge, idx, hintW, cached := d.rOracleSeeded(h)
-		if v, empty, done := d.popRightTransitions(h, edge, idx, hintW); done {
-			if cached {
-				h.EdgeCacheHits++
-			}
-			h.noteSuccess()
-			d.opEnd(tr, h, obs.OpPop, obs.SideRight, false)
-			return v, !empty
-		}
-		if cached {
-			h.edgeR = nil
-		}
-		h.noteFailure()
-		if d.shouldAnnounce(h) {
-			if v, ok, _, announced := d.announcedPop(nil, h, help.Right); announced {
-				d.opEnd(tr, h, obs.OpPop, obs.SideRight, false)
-				return v, ok
-			}
-		}
-	}
-}
 
 // spareRight returns a node shaped for a right append — every slot RN, the
 // new datum in the innermost data slot, the left link aimed back at edge.
@@ -408,74 +326,4 @@ func (d *Deque) popRightTransitions(h *Handle, edge *node, idx int, hintW uint64
 		h.rec.Inc(obs.CtrFailL4)
 	}
 	return 0, false, false
-}
-
-// pushRightElim is push_right wrapped in the Fig. 13 elimination protocol.
-// Registry exhaustion surfaces as ErrFull (see pushLeftElim).
-func (d *Deque) pushRightElim(h *Handle, v uint32) error {
-	if d.cfg.ElimPlacement == ElimOnCriticalPath {
-		if d.elimFirst(h, d.rElim, elim.Push, v) {
-			return nil
-		}
-	}
-	d.rElim.Insert(h.tid, elim.Push, v)
-	for {
-		h.repin()
-		edge, idx, hintW := d.rOracle(h, h.rec)
-		if _, eliminated := d.rElim.Remove(h.tid); eliminated {
-			h.rec.Inc(obs.CtrElimPush)
-			h.Eliminated++
-			h.noteSuccess()
-			return nil
-		}
-		if d.pushRightTransitions(h, v, edge, idx, hintW) {
-			h.noteSuccess()
-			return nil
-		}
-		if err := h.takeAllocErr(); err != nil {
-			return err
-		}
-		if _, ok := d.rElim.Scan(h.tid, elim.Push, v); ok {
-			h.rec.Inc(obs.CtrElimPush)
-			h.Eliminated++
-			h.noteSuccess()
-			return nil
-		}
-		h.rec.Inc(obs.CtrElimMiss)
-		d.rElim.Insert(h.tid, elim.Push, v)
-		h.noteFailure()
-	}
-}
-
-// popRightElim is pop_right wrapped in the Fig. 13 elimination protocol.
-func (d *Deque) popRightElim(h *Handle) (uint32, bool) {
-	if d.cfg.ElimPlacement == ElimOnCriticalPath {
-		if v, ok := d.elimFirstPop(h, d.rElim); ok {
-			return v, true
-		}
-	}
-	d.rElim.Insert(h.tid, elim.Pop, 0)
-	for {
-		h.repin()
-		edge, idx, hintW := d.rOracle(h, h.rec)
-		if v, eliminated := d.rElim.Remove(h.tid); eliminated {
-			h.rec.Inc(obs.CtrElimPop)
-			h.Eliminated++
-			h.noteSuccess()
-			return v, true
-		}
-		if v, empty, done := d.popRightTransitions(h, edge, idx, hintW); done {
-			h.noteSuccess()
-			return v, !empty
-		}
-		if v, ok := d.rElim.Scan(h.tid, elim.Pop, 0); ok {
-			h.rec.Inc(obs.CtrElimPop)
-			h.Eliminated++
-			h.noteSuccess()
-			return v, true
-		}
-		h.rec.Inc(obs.CtrElimMiss)
-		d.rElim.Insert(h.tid, elim.Pop, 0)
-		h.noteFailure()
-	}
 }
