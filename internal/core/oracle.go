@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/word"
@@ -126,6 +128,7 @@ func (d *Deque) scanRight(n *node) int {
 // diagnostic walks outside any handle.
 func (d *Deque) lOracle(h *Handle, rec *obs.Rec) (*node, int, uint64) {
 	rec.Inc(obs.CtrOracleWalk)
+	var w wedgeCheck
 	for {
 		nd, hintW := d.left.get()
 		nd = d.advanceShadow(&d.left, nd)
@@ -135,6 +138,36 @@ func (d *Deque) lOracle(h *Handle, rec *obs.Rec) (*node, int, uint64) {
 		// Hops exhausted or the walk chose to restart: re-read the global
 		// hint and start over.
 		rec.Inc(obs.CtrOracleRestart)
+		if chaos.Enabled {
+			w.restart(d, "left", hintW, nd)
+		}
+	}
+}
+
+// wedgeRestarts is how many consecutive restarts of one oracle call on an
+// unchanged hint word the chaos build treats as a wedge. A restart is
+// cheap (one short walk), and on an unchanged hint a lone walker repeats
+// the same walk, so a count this high means the walk can never end — the
+// solo non-termination obstruction freedom rules out — not a slow peer.
+const wedgeRestarts = 1 << 20
+
+// wedgeCheck counts an oracle call's consecutive restarts on one hint
+// word. Only the chaos build consults it (the default build folds the
+// check away), turning a wedge into a panic carrying the chain instead of
+// a hung test.
+type wedgeCheck struct {
+	hintW uint64
+	n     int
+}
+
+func (w *wedgeCheck) restart(d *Deque, side string, hintW uint64, start *node) {
+	if hintW != w.hintW {
+		w.hintW, w.n = hintW, 0
+	}
+	w.n++
+	if w.n >= wedgeRestarts {
+		panic(fmt.Sprintf("core: %s oracle wedged: %d restarts on unchanged hint word %#x from %s (registered=%v escape=%v)\nchain:\n%s",
+			side, w.n, hintW, d.dumpNode(start), d.resolve(start.id) != nil, start.escape.Load() != nil, d.Dump()))
 	}
 }
 
@@ -274,6 +307,7 @@ walk:
 // rOracle locates the right edge, mirroring lOracle.
 func (d *Deque) rOracle(h *Handle, rec *obs.Rec) (*node, int, uint64) {
 	rec.Inc(obs.CtrOracleWalk)
+	var w wedgeCheck
 	for {
 		nd, hintW := d.right.get()
 		nd = d.advanceShadow(&d.right, nd)
@@ -281,6 +315,9 @@ func (d *Deque) rOracle(h *Handle, rec *obs.Rec) (*node, int, uint64) {
 			return edge, idx, hintW
 		}
 		rec.Inc(obs.CtrOracleRestart)
+		if chaos.Enabled {
+			w.restart(d, "right", hintW, nd)
+		}
 	}
 }
 
