@@ -286,7 +286,7 @@ func (h *DEPQHandle[T]) push(ctx context.Context, v T, prio int) error {
 	// pop reservations from the moment the push is committed to —
 	// conservative for the bound (see internal/shard/band.go).
 	h.q.stamps.AddPush(b, 1)
-	if err := h.ph.hs[b].pushEnd(ctx, v, true); err != nil {
+	if err := h.ph.hs[b].push(ctx, v, true, 0); err != nil {
 		h.q.stamps.UndoPush(b)
 		return err
 	}
@@ -356,7 +356,7 @@ func (h *DEPQHandle[T]) pop(ctx context.Context, low bool) (v T, prio int, ok bo
 			}
 			// PopMin drains the right end (oldest first: FIFO service);
 			// PopMax drains the left end (newest first: cheapest to shed).
-			if v, ok, err = h.ph.hs[b].popEnd(ctx, !low); !ok {
+			if v, ok, err = h.ph.hs[b].pop(ctx, !low, 0); !ok {
 				st.UndoPop(b)
 				if err != nil {
 					return legDone

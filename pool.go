@@ -429,12 +429,16 @@ func inOrder(i int) int { return i }
 // back, which both bounds the cache-line traffic it adds and gives the
 // shards' own consumers room to drain.
 //
-// ctx (nil for none) is consulted only between sweeps, never inside a
-// leg, so the returned error is non-nil only when ctx expired while
+// ctx (nil for none) is consulted only between sweeps, as a non-blocking
+// receive on its Done channel, never inside a leg, so the returned error is non-nil only when ctx expired while
 // emptiness was still uncertifiable. The legs report what they took
 // through the variables their closures capture.
 func (h *PoolHandle[T]) certify(ctx context.Context, n int, probe func() int,
 	at func(i int) int, leg func(j int) legResult) error {
+	var done <-chan struct{} // hoisted: on go1.24 ctx.Err() takes a mutex
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	h.bo.Reset()
 	for {
 		p, r := probe(), legEmpty
@@ -451,43 +455,14 @@ func (h *PoolHandle[T]) certify(ctx context.Context, n int, probe func() int,
 		if r == legDone || !blocked {
 			return nil // a value (or an error) was taken, or every leg certified empty
 		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		select {
+		case <-done: // never ready when nil
+			return ctx.Err()
+		default:
 		}
 		h.resweeps++
 		h.bo.Spin()
 	}
-}
-
-// pushEnd pushes v at the left or right end of h, through the Ctx variant
-// when ctx is non-nil.
-func (h *Handle[T]) pushEnd(ctx context.Context, v T, left bool) error {
-	switch {
-	case ctx != nil && left:
-		return h.PushLeftCtx(ctx, v)
-	case ctx != nil:
-		return h.PushRightCtx(ctx, v)
-	case left:
-		return h.PushLeft(v)
-	}
-	return h.PushRight(v)
-}
-
-// popEnd mirrors pushEnd for pops.
-func (h *Handle[T]) popEnd(ctx context.Context, left bool) (v T, ok bool, err error) {
-	switch {
-	case ctx != nil && left:
-		return h.PopLeftCtx(ctx)
-	case ctx != nil:
-		return h.PopRightCtx(ctx)
-	case left:
-		v, ok = h.PopLeft()
-	default:
-		v, ok = h.PopRight()
-	}
-	return v, ok, nil
 }
 
 // stealOrder refreshes h.order from a fresh load snapshot with every

@@ -256,7 +256,7 @@ func (h *RelaxedHandle[T]) choosePush(n int64) int {
 
 func (h *RelaxedHandle[T]) push(ctx context.Context, v T, left bool) error {
 	i := h.choosePush(1)
-	if err := h.ph.hs[i].pushEnd(ctx, v, left); err != nil {
+	if err := h.ph.hs[i].push(ctx, v, left, 0); err != nil {
 		h.r.stamps.UndoPush(i)
 		return err
 	}
@@ -312,7 +312,7 @@ func (h *RelaxedHandle[T]) pop(ctx context.Context, left bool) (v T, ok bool, er
 			if !reserved {
 				return legBlocked
 			}
-			if v, ok, err = h.ph.hs[i].popEnd(ctx, left); !ok {
+			if v, ok, err = h.ph.hs[i].pop(ctx, left, 0); !ok {
 				st.UndoPop(i)
 				if err != nil {
 					return legDone
