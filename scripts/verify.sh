@@ -13,6 +13,16 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+# Every tracked .go file must be gofmt-clean; gofmt -l names the ones
+# that are not.
+echo "== gofmt =="
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need gofmt -w:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 # staticcheck runs beside go vet on every tag set when the binary is
 # present (CI installs it; the gate degrades to vet-only elsewhere rather
 # than failing on a missing tool).
