@@ -38,7 +38,6 @@ func main() {
 		maxconns = flag.Int("maxconns", 64, "concurrent connection cap (pool handles are pooled up to this)")
 		reclaim  = flag.String("reclaim", "gc", "node reclamation: gc, hazard, or epoch (recycling)")
 		memlimit = flag.Int64("memlimit", 0, "per-shard node-memory cap in bytes (0 = unbounded); exceeding pushes get STATUS_FULL")
-		helping  = flag.Bool("helping", false, "announcement/helping layer: starving ops are completed by other threads (bounded tail latency)")
 		watchdog = flag.Int("watchdog", 0, "livelock-watchdog streak threshold per shard (0 = default 256)")
 		relaxed  = flag.Bool("relaxed", false, "serve through the semantically-relaxed d-choice front-end (keys ignored; ordering relaxed across shards)")
 		dFlag    = flag.Int("d", 2, "relaxed sample width: shards sampled per op (0 = strict passthrough; needs -relaxed)")
@@ -65,9 +64,6 @@ func main() {
 	}
 	if *memlimit > 0 {
 		shardOpts = append(shardOpts, dq.WithMemoryLimit(*memlimit))
-	}
-	if *helping {
-		shardOpts = append(shardOpts, dq.WithHelping(true))
 	}
 	if *watchdog > 0 {
 		shardOpts = append(shardOpts, dq.WithWatchdogThreshold(*watchdog))

@@ -74,20 +74,6 @@ const (
 	// PoolGet is a node-pool reuse attempt (forced failure is a pool miss:
 	// the caller falls back to a fresh allocation).
 	PoolGet
-	// Announce is a starving handle's decision to publish its op into the
-	// announcement array (forced failure suppresses the announcement: the
-	// handle keeps retrying under plain watchdog backoff, exactly as if
-	// helping were off).
-	Announce
-	// Help is a helper's scan of the announcement array (forced failure
-	// models the helper being preempted before finding work: the scan is
-	// skipped this round).
-	Help
-	// Claim is a claim attempt on an announced op — visited by both the
-	// announcer's self-claim and a helper's claim (forced failure models
-	// losing the claim race; a Park rule here holds the visitor between
-	// announcing and claiming, the starvation-bound adversary).
-	Claim
 
 	// NumPoints is the number of named injection points.
 	NumPoints
@@ -98,7 +84,6 @@ var pointNames = [NumPoints]string{
 	"E1", "E2", "E3", "H",
 	"Oracle", "EdgeCache", "SlabAlloc", "RegistryAlloc",
 	"Retire", "EpochAdvance", "PoolGet",
-	"Announce", "Help", "Claim",
 }
 
 // String returns the point's name as used in schedules, tests, and docs.

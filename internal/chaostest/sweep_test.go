@@ -7,9 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	dq "repro"
 	"repro/internal/chaos"
@@ -204,89 +202,6 @@ func TestSeededSweepCoverage(t *testing.T) {
 			hr.Drain()
 			if err := dr.CheckInvariant(); err != nil {
 				t.Fatalf("invariant after recycling sweep: %v", err)
-			}
-
-			// Helping layer: a low-threshold helping deque under two
-			// concurrent workers reaches Announce (a streak of 4 consecutive
-			// forced failures trips it), Claim (the announcer's self-claim
-			// and the helper's claim race), and Help (a handle's throttled
-			// poll finding a pending announcement). Concurrency is required
-			// — Help fires only while some OTHER handle's op is announced —
-			// so the segment runs until all three points record forced
-			// failures rather than for a fixed round count.
-			dh := core.New(core.Config{NodeSize: core.MinNodeSize, MaxThreads: 4,
-				WatchdogThreshold: 2, Helping: true})
-			var (
-				stop   atomic.Bool
-				hwg    sync.WaitGroup
-				pushes [2]int
-				pops   [2]int
-			)
-			for w := 0; w < 2; w++ {
-				hwg.Add(1)
-				go func(w int) {
-					defer hwg.Done()
-					hh := dh.Register()
-					v := uint32(w+1) << 24
-					for !stop.Load() {
-						v++
-						for a := 0; ; a++ {
-							var err error
-							if w == 0 {
-								err = dh.PushLeft(hh, v)
-							} else {
-								err = dh.PushRight(hh, v)
-							}
-							if err == nil {
-								pushes[w]++
-								break
-							}
-							if err != core.ErrFull || a >= 16 {
-								t.Errorf("helping worker %d: push: %v", w, err)
-								return
-							}
-						}
-						var ok bool
-						if w == 0 {
-							_, ok = dh.PopRight(hh)
-						} else {
-							_, ok = dh.PopLeft(hh)
-						}
-						if ok {
-							pops[w]++
-						}
-					}
-				}(w)
-			}
-			helpPts := []chaos.Point{chaos.Announce, chaos.Help, chaos.Claim}
-			for wait := 0; wait < 4000; wait++ {
-				covered := true
-				for _, p := range helpPts {
-					if s.Stats(p).Failures == 0 {
-						covered = false
-					}
-				}
-				if covered {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			stop.Store(true)
-			hwg.Wait()
-			hd := dh.Register()
-			drained := 0
-			for {
-				if _, ok := dh.PopLeft(hd); !ok {
-					break
-				}
-				drained++
-			}
-			if err := dh.CheckInvariant(); err != nil {
-				t.Fatalf("invariant after helping sweep: %v", err)
-			}
-			if total := pops[0] + pops[1] + drained; total != pushes[0]+pushes[1] {
-				t.Fatalf("helping sweep conservation: %d values out, %d in",
-					total, pushes[0]+pushes[1])
 			}
 
 			// Generic layer: the slab-allocation point. Forced SlabAlloc

@@ -39,7 +39,7 @@ func (d *Deque) PushLeftN(h *Handle, vals []uint32) (int, error) {
 }
 
 // pushN is PushLeftN/PushRightN on side s. Each run's head goes through
-// the push loop as a head (no per-op steps, no announce), and the side's
+// the push loop as a head (no per-op steps), and the side's
 // run extension continues from the slot the head landed on.
 func (d *Deque) pushN(h *Handle, s obs.Side, vals []uint32) (int, error) {
 	defer h.unpin()

@@ -92,7 +92,7 @@ type Bound struct {
 	done     <-chan struct{}
 	attempts int  // the attempt budget; 0 = unlimited
 	ran      int  // attempts begun so far (kept here, off the plain path)
-	head     bool // a batch run's head: no per-op steps, never announces
+	head     bool // a batch run's head: no per-op steps
 	idx      int  // out: the landing attempt's edge index, for a batch run
 }
 
@@ -142,18 +142,4 @@ func (h *Handle) unpinOp(b *Bound) {
 	if !b.isHead() {
 		h.unpin()
 	}
-}
-
-// announces reports whether a long failure streak may hand the op to the
-// helping layer. Try* ops never announce — their contract is to give up
-// after the budget, not to escalate past it — and neither do batch heads,
-// whose run needs the landing index a helped completion lacks.
-func (b *Bound) announces() bool { return b == nil || (b.attempts == 0 && !b.head) }
-
-// context is the ctx an announced op's wait honours (nil: never cancelled).
-func (b *Bound) context() context.Context {
-	if b == nil {
-		return nil
-	}
-	return b.ctx
 }

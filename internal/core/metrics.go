@@ -47,8 +47,7 @@ func (d *Deque) Metrics() obs.Metrics {
 func (d *Deque) LatencySnapshot() *obs.LatSnapshotSet { return d.latReg.Merge() }
 
 // Flight returns the deque's flight recorder: the always-on distress-event
-// ring fed by watchdog escalations, helping announces, and streak
-// recoveries. Never nil.
+// ring fed by watchdog escalations and streak recoveries. Never nil.
 func (d *Deque) Flight() *obs.Flight { return d.flight }
 
 // TraceRecords returns the sampled-op ring's contents, oldest first, or nil
@@ -141,8 +140,8 @@ func (h *Handle) armTick() {
 }
 
 // latNow returns the current time when latency recording is on — the
-// always-record variant used by batch ops, announce waits, and other
-// amortized or rare paths where sampling would only hide the tail.
+// always-record variant used by batch ops and other amortized or rare
+// paths where sampling would only hide the tail.
 func (d *Deque) latNow() (t time.Time) {
 	if obs.Enabled && d.latSample != 0 {
 		t = time.Now()
@@ -230,21 +229,5 @@ func (d *Deque) flightRecover(h *Handle) {
 		Escalations: h.LivelockEscalations,
 		Tid:         h.tid,
 		Ns:          ns,
-	})
-}
-
-// flightAnnounce writes an announce record when an op is published into
-// the helping layer; the matching completion time lands in the help_wait
-// latency class.
-func (d *Deque) flightAnnounce(h *Handle, op obs.Op, side obs.Side) {
-	d.flight.Record(obs.FlightRecord{
-		At:          time.Now().UnixNano(),
-		Kind:        obs.FlightAnnounce,
-		Op:          op,
-		Side:        side,
-		Transitions: obs.DiffMask(h.streakBase, h.rec.Snapshot()),
-		Streak:      h.consecFails,
-		Escalations: h.LivelockEscalations,
-		Tid:         h.tid,
 	})
 }

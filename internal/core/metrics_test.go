@@ -302,3 +302,22 @@ func TestTracerDisabledIsNil(t *testing.T) {
 		t.Fatalf("TraceTotal = %d, want 0", n)
 	}
 }
+
+// TestWatchdogThresholdConfig checks the configured threshold reaches the
+// watchdog and Metrics.
+func TestWatchdogThresholdConfig(t *testing.T) {
+	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2})
+	if got := d.Metrics().WatchdogThreshold; got != DefaultWatchdogThreshold {
+		t.Fatalf("default WatchdogThreshold = %d, want %d", got, DefaultWatchdogThreshold)
+	}
+	d = New(Config{NodeSize: MinNodeSize, MaxThreads: 2, WatchdogThreshold: 32})
+	if got := d.Metrics().WatchdogThreshold; got != 32 {
+		t.Fatalf("WatchdogThreshold = %d, want 32", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative WatchdogThreshold did not panic")
+		}
+	}()
+	New(Config{NodeSize: MinNodeSize, MaxThreads: 2, WatchdogThreshold: -1})
+}

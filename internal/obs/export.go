@@ -80,11 +80,6 @@ func WriteProm(w io.Writer, prefix string, m Metrics) error {
 		{"elim_push_total", "Pushes completed by elimination.", m.ElimPushes},
 		{"elim_pop_total", "Pops completed by elimination.", m.ElimPops},
 		{"elim_miss_total", "Failed elimination partner scans.", m.ElimMisses},
-		{"announces_total", "Ops published into the announcement array.", m.Announces},
-		{"helps_given_total", "Announced ops completed for another handle.", m.HelpsGiven},
-		{"helps_received_total", "Own announced ops completed by a helper.", m.HelpsReceived},
-		{"help_claim_races_total", "Announcement claim CASes lost to another party.", m.HelpClaimRaces},
-		{"help_handbacks_total", "Claims returned unfinished after the attempt budget.", m.HelpHandbacks},
 	}
 	for _, s := range simple {
 		counter(s.name, s.help)

@@ -77,15 +77,15 @@ func TestFlightAutoDump(t *testing.T) {
 		t.Fatalf("dump not rate-limited:\n%s", sb.String())
 	}
 
-	// ...and an announce past the window dumps again.
-	r = mkRec(1, FlightAnnounce)
+	// ...and one past the window dumps again.
+	r = mkRec(3, FlightEscalate)
 	r.At += int64(3 * time.Second)
 	f.Record(r)
 	if sb.Len() == before {
 		t.Fatal("dump after the rate-limit window was suppressed")
 	}
-	if !strings.Contains(sb.String(), "announce") {
-		t.Fatalf("second dump missing the announce record:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "tid=3") {
+		t.Fatalf("second dump missing the late escalation:\n%s", sb.String())
 	}
 
 	// Disarm: no further dumps.
@@ -120,7 +120,7 @@ func TestFlightRecordTook(t *testing.T) {
 	if !r.Took(CtrFailL1) || !r.Took(CtrOracleWalk) {
 		t.Fatal("Took misses set counters")
 	}
-	if r.Took(CtrAnnounce) {
+	if r.Took(CtrElimMiss) {
 		t.Fatal("Took reports an unset counter")
 	}
 	// The rendered record names exactly the counters that advanced.
@@ -131,7 +131,7 @@ func TestFlightRecordTook(t *testing.T) {
 }
 
 func TestFlightKindJSONRoundTrip(t *testing.T) {
-	for _, k := range []FlightKind{FlightEscalate, FlightAnnounce, FlightRecover} {
+	for _, k := range []FlightKind{FlightEscalate, FlightRecover} {
 		b, err := json.Marshal(k)
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestFlightKindJSONRoundTrip(t *testing.T) {
 
 func TestFlightRecordJSONRoundTrip(t *testing.T) {
 	r := FlightRecord{
-		At: 12345, Kind: FlightAnnounce, Op: OpPop, Side: SideRight,
+		At: 12345, Kind: FlightRecover, Op: OpPop, Side: SideRight,
 		Transitions: 7, Streak: 512, Escalations: 2, Tid: 3, Ns: 99,
 	}
 	b, err := json.Marshal(r)

@@ -86,19 +86,6 @@ const (
 	CtrElimPush
 	CtrElimPop
 	CtrElimMiss
-	// CtrAnnounce counts ops published into the announcement array after a
-	// watchdog streak tripped the announce threshold. CtrHelpGiven counts
-	// announced ops this handle completed for another handle;
-	// CtrHelpReceived counts this handle's own announced ops that a helper
-	// completed (self-completed announcements count toward neither).
-	// CtrHelpClaimLost counts claim CASes lost to another party, and
-	// CtrHelpHandback counts claims returned unfinished after the helper's
-	// attempt budget ran out.
-	CtrAnnounce
-	CtrHelpGiven
-	CtrHelpReceived
-	CtrHelpClaimLost
-	CtrHelpHandback
 
 	// NumCounters is the size of a Rec's counter block.
 	NumCounters
@@ -121,7 +108,6 @@ var counterNames = [NumCounters]string{
 	"oracle_walk", "oracle_hop", "oracle_restart",
 	"edge_cache_hit", "edge_cache_miss",
 	"elim_push", "elim_pop", "elim_miss",
-	"announce", "help_given", "help_received", "help_claim_lost", "help_handback",
 }
 
 // String returns the counter's snake_case name as used by the exporters.
@@ -195,19 +181,6 @@ type Metrics struct {
 	ElimPops        uint64 `json:"elim_pops"`
 	ElimMisses      uint64 `json:"elim_misses"`
 
-	// Helping-layer counters (all zero unless WithHelping is on).
-	// Announces counts ops published for help; HelpsGiven / HelpsReceived
-	// count cross-handle completions from the helper's / announcer's side
-	// respectively (they need not match: each helped completion increments
-	// both, but self-completed announcements increment neither).
-	// HelpClaimRaces counts lost claim CASes, HelpHandbacks claims returned
-	// unfinished.
-	Announces      uint64 `json:"announces,omitempty"`
-	HelpsGiven     uint64 `json:"helps_given,omitempty"`
-	HelpsReceived  uint64 `json:"helps_received,omitempty"`
-	HelpClaimRaces uint64 `json:"help_claim_races,omitempty"`
-	HelpHandbacks  uint64 `json:"help_handbacks,omitempty"`
-
 	// WatchdogThreshold is the effective livelock-watchdog streak length
 	// (gauge; the WithWatchdogThreshold option or its default).
 	WatchdogThreshold uint64 `json:"watchdog_threshold,omitempty"`
@@ -247,7 +220,7 @@ type Metrics struct {
 	// Latency is the per-op-class latency digest (count, mean, p50/p90/
 	// p99/p99.9, max) merged from the deque's latency registry, classes
 	// with zero observations omitted. Empty on obsoff builds. Single core
-	// ops are sampled (see LatClass); batch, help-wait, steal-sweep, and
+	// ops are sampled (see LatClass); batch, steal-sweep, and
 	// service classes record every operation.
 	Latency []LatClassSummary `json:"latency,omitempty"`
 
@@ -277,11 +250,6 @@ func FromCounters(c [NumCounters]uint64) Metrics {
 	m.ElimPushes = c[CtrElimPush]
 	m.ElimPops = c[CtrElimPop]
 	m.ElimMisses = c[CtrElimMiss]
-	m.Announces = c[CtrAnnounce]
-	m.HelpsGiven = c[CtrHelpGiven]
-	m.HelpsReceived = c[CtrHelpReceived]
-	m.HelpClaimRaces = c[CtrHelpClaimLost]
-	m.HelpHandbacks = c[CtrHelpHandback]
 	return m
 }
 
@@ -305,11 +273,6 @@ func (m Metrics) Counters() [NumCounters]uint64 {
 	c[CtrElimPush] = m.ElimPushes
 	c[CtrElimPop] = m.ElimPops
 	c[CtrElimMiss] = m.ElimMisses
-	c[CtrAnnounce] = m.Announces
-	c[CtrHelpGiven] = m.HelpsGiven
-	c[CtrHelpReceived] = m.HelpsReceived
-	c[CtrHelpClaimLost] = m.HelpClaimRaces
-	c[CtrHelpHandback] = m.HelpHandbacks
 	return c
 }
 
@@ -354,11 +317,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.ElimPushes += o.ElimPushes
 	m.ElimPops += o.ElimPops
 	m.ElimMisses += o.ElimMisses
-	m.Announces += o.Announces
-	m.HelpsGiven += o.HelpsGiven
-	m.HelpsReceived += o.HelpsReceived
-	m.HelpClaimRaces += o.HelpClaimRaces
-	m.HelpHandbacks += o.HelpHandbacks
 	m.Handles += o.Handles
 	m.NodesAllocated += o.NodesAllocated
 	m.NodesFreed += o.NodesFreed

@@ -60,7 +60,7 @@ func Flags(name, addr string) *Process {
 	flag.StringVar(&p.Addr, "addr", addr, "TCP listen address (use :0 with -addr-file for an ephemeral port)")
 	flag.StringVar(&p.AddrFile, "addr-file", "", "write the bound listen address to this file once listening")
 	flag.StringVar(&p.Metrics, "metrics", "", "serve Prometheus /metrics and /debug/flightrecorder on this HTTP address (empty disables)")
-	flag.DurationVar(&p.FlightDump, "flight-dump", 0, "auto-dump the flight recorder to stderr on watchdog (or, with helping, announce) distress, rate-limited to one dump per this interval (0 disables)")
+	flag.DurationVar(&p.FlightDump, "flight-dump", 0, "auto-dump the flight recorder to stderr on watchdog distress, rate-limited to one dump per this interval (0 disables)")
 	flag.DurationVar(&p.DrainTimeout, "drain-timeout", 5*time.Second, "graceful drain window on SIGTERM before in-flight ops are cancelled")
 	return p
 }

@@ -30,7 +30,7 @@ import (
 // O(k·L); Relaxed picks L = bound/(4·(k-1)), spending a factor two of
 // headroom on the transient slack concurrent reservations introduce
 // (in-flight increments and the push-side cached floor are both
-// instantaneous snapshots, not fenced barriers). DESIGN.md §12 spells
+// instantaneous snapshots, not fenced barriers). DESIGN.md §11 spells
 // the argument out.
 
 // stampCtr is one shard's operation counter, alone on its cache line so

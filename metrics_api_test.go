@@ -175,16 +175,8 @@ func TestWriteMetricsProm(t *testing.T) {
 	if MetricsEnabled && !strings.Contains(out, `dq_ops_total{op="push"} 3`) {
 		t.Errorf("exposition push count wrong:\n%s", out)
 	}
-	for _, want := range []string{
-		"dq_announces_total",
-		"dq_helps_given_total",
-		"dq_helps_received_total",
-		"dq_help_claim_races_total",
-		"dq_watchdog_threshold 256",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q", want)
-		}
+	if !strings.Contains(out, "dq_watchdog_threshold 256") {
+		t.Errorf("exposition missing %q", "dq_watchdog_threshold 256")
 	}
 }
 
@@ -195,7 +187,7 @@ func TestWatchdogThresholdInMetrics(t *testing.T) {
 	if got := d.Metrics().WatchdogThreshold; got != 256 {
 		t.Fatalf("default WatchdogThreshold gauge = %d, want 256", got)
 	}
-	d = New[int](WithWatchdogThreshold(64), WithHelping(true))
+	d = New[int](WithWatchdogThreshold(64))
 	if got := d.Metrics().WatchdogThreshold; got != 64 {
 		t.Fatalf("WatchdogThreshold gauge = %d, want 64", got)
 	}

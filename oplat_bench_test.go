@@ -59,14 +59,6 @@ func BenchmarkObsMixed4Way(b *testing.B) {
 	benchSerialMixed4Way(b, New[uint32](benchOpts(WithMaxThreads(2))...))
 }
 
-// BenchmarkObsMixed4WayHelping is BenchmarkObsMixed4Way with the
-// announcement/helping layer on. A lone handle never announces, so the
-// helping A/B (this against ObsMixed4Way, same binary) measures the
-// layer's standing cost: the per-op poll tick and the pending-count load.
-func BenchmarkObsMixed4WayHelping(b *testing.B) {
-	benchSerialMixed4Way(b, New[uint32](benchOpts(WithMaxThreads(2), WithHelping(true))...))
-}
-
 // benchSerialMixed4Way prefills d through one handle and times b.N mixed
 // single ops on it.
 func benchSerialMixed4Way(b *testing.B, d *Deque[uint32]) {

@@ -73,13 +73,12 @@ func TestGoodOptionsAccepted(t *testing.T) {
 		{"capacity one", []Option{WithCapacity(1)}},
 		{"tracing off explicitly", []Option{WithTracing(0)}},
 		{"tracing every op", []Option{WithTracing(1)}},
-		{"helping", []Option{WithHelping(true)}},
 		{"watchdog custom", []Option{WithWatchdogThreshold(64)}},
-		{"helping with custom watchdog", []Option{WithHelping(true), WithWatchdogThreshold(8)}},
+		{"low watchdog", []Option{WithWatchdogThreshold(8)}},
 		{"kitchen sink", []Option{
 			WithNodeSize(64), WithMaxThreads(8), WithCapacity(1 << 10),
 			WithElimination(true), WithTracing(100),
-			WithHelping(true), WithWatchdogThreshold(128),
+			WithWatchdogThreshold(128),
 		}},
 	}
 	for _, tc := range cases {

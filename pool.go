@@ -354,54 +354,35 @@ func (h *PoolHandle[T]) latEnd(c obs.LatClass, t time.Time) {
 	h.lat.Record(c, uint64(time.Since(t)))
 }
 
-// PushLeft pushes v at the left end of the routed shard; ErrFull when
-// that shard's capacity is exhausted (nothing pushed).
-func (h *PoolHandle[T]) PushLeft(key uint64, v T) error {
+// push is the body of every single-value pool push: route, push on the
+// home shard (honoring ctx when non-nil), and account the landed value.
+func (h *PoolHandle[T]) push(ctx context.Context, key uint64, v T, left bool) error {
 	lt := h.latStart()
 	defer h.latEnd(obs.LatPoolOp, lt)
 	i := h.router.Push(key, h.load)
-	err := h.hs[i].PushLeft(v)
+	err := h.hs[i].push(ctx, v, left, 0)
 	if err == nil {
 		h.note(i, 1)
 	}
 	return err
 }
 
+// PushLeft pushes v at the left end of the routed shard; ErrFull when
+// that shard's capacity is exhausted (nothing pushed).
+func (h *PoolHandle[T]) PushLeft(key uint64, v T) error { return h.push(nil, key, v, true) }
+
 // PushRight mirrors PushLeft on the right end.
-func (h *PoolHandle[T]) PushRight(key uint64, v T) error {
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Push(key, h.load)
-	err := h.hs[i].PushRight(v)
-	if err == nil {
-		h.note(i, 1)
-	}
-	return err
-}
+func (h *PoolHandle[T]) PushRight(key uint64, v T) error { return h.push(nil, key, v, false) }
 
 // PushLeftCtx is PushLeft, aborting with ctx.Err() once ctx is
 // cancelled; a non-nil error means nothing was pushed.
 func (h *PoolHandle[T]) PushLeftCtx(ctx context.Context, key uint64, v T) error {
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Push(key, h.load)
-	err := h.hs[i].PushLeftCtx(ctx, v)
-	if err == nil {
-		h.note(i, 1)
-	}
-	return err
+	return h.push(ctx, key, v, true)
 }
 
 // PushRightCtx mirrors PushLeftCtx.
 func (h *PoolHandle[T]) PushRightCtx(ctx context.Context, key uint64, v T) error {
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Push(key, h.load)
-	err := h.hs[i].PushRightCtx(ctx, v)
-	if err == nil {
-		h.note(i, 1)
-	}
-	return err
+	return h.push(ctx, key, v, false)
 }
 
 // legResult is one leg's outcome in a certify sweep.
@@ -491,21 +472,15 @@ func (h *PoolHandle[T]) stealOrder(home int) int {
 	return h.order[0]
 }
 
-// steal tries every other shard in most-loaded-first order, popping from
-// the side opposite the request (a left pop steals with right pops and
-// vice versa) so thieves avoid the victims' hot ends. The sweep runs
-// under certify.
+// stealCtx tries every other shard in most-loaded-first order, popping
+// from the side opposite the request (a left pop steals with right pops
+// and vice versa) so thieves avoid the victims' hot ends. The sweep runs
+// under certify, which consults ctx (nil for none) between sweeps.
 //
 // Each leg is a bounded Try pop (stealAttempts retry cycles), so one hot
 // victim cannot capture the thief indefinitely. A leg that spends its
 // whole budget (ErrContended) leaves that shard's emptiness unknown, so
-// certify retries the sweep after a backoff wait. The Ctx pop variants
-// pass their context through to certify.
-func (h *PoolHandle[T]) steal(home int, left bool) (v T, ok bool) {
-	v, ok, _ = h.stealCtx(nil, home, left)
-	return v, ok
-}
-
+// certify retries the sweep after a backoff wait.
 func (h *PoolHandle[T]) stealCtx(ctx context.Context, home int, left bool) (v T, ok bool, err error) {
 	// Steals are the pool's rare, tail-shaped path: time every one, from
 	// first sweep to value / certified-empty / ctx abort.
@@ -518,11 +493,7 @@ func (h *PoolHandle[T]) stealCtx(ctx context.Context, home int, left bool) (v T,
 				return legBlocked
 			}
 			var terr error
-			if left {
-				v, ok, terr = h.hs[j].TryPopRight(stealAttempts)
-			} else {
-				v, ok, terr = h.hs[j].TryPopLeft(stealAttempts)
-			}
+			v, ok, terr = h.hs[j].pop(nil, !left, stealAttempts)
 			switch {
 			case terr != nil:
 				return legBlocked // budget spent racing: emptiness unknown
@@ -535,101 +506,72 @@ func (h *PoolHandle[T]) stealCtx(ctx context.Context, home int, left bool) (v T,
 	return v, ok, err
 }
 
+// pop is the body of every single-value pool pop: route, pop the home
+// shard (honoring ctx when non-nil), and steal when it came up empty and
+// stealing is on.
+func (h *PoolHandle[T]) pop(ctx context.Context, key uint64, left bool) (v T, ok bool, err error) {
+	lt := h.latStart()
+	defer h.latEnd(obs.LatPoolOp, lt)
+	i := h.router.Pop(key, h.load)
+	if v, ok, err = h.hs[i].pop(ctx, left, 0); err != nil || ok {
+		if ok {
+			h.note(i, -1)
+		}
+		return v, ok, err
+	}
+	if !h.p.steal {
+		return v, false, nil
+	}
+	return h.stealCtx(ctx, i, left)
+}
+
 // PopLeft pops from the left end of the routed shard, stealing from the
 // right end of the most-loaded other shard when the home shard is empty
 // (if stealing is enabled). ok is false only after every shard came up
 // empty.
 func (h *PoolHandle[T]) PopLeft(key uint64) (v T, ok bool) {
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Pop(key, h.load)
-	if v, ok = h.hs[i].PopLeft(); ok {
-		h.note(i, -1)
-		return v, true
-	}
-	if !h.p.steal {
-		return v, false
-	}
-	return h.steal(i, true)
+	v, ok, _ = h.pop(nil, key, true)
+	return v, ok
 }
 
 // PopRight mirrors PopLeft, stealing from victims' left ends.
 func (h *PoolHandle[T]) PopRight(key uint64) (v T, ok bool) {
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Pop(key, h.load)
-	if v, ok = h.hs[i].PopRight(); ok {
-		h.note(i, -1)
-		return v, true
-	}
-	if !h.p.steal {
-		return v, false
-	}
-	return h.steal(i, false)
+	v, ok, _ = h.pop(nil, key, false)
+	return v, ok
 }
 
 // PopLeftCtx is PopLeft, aborting with ctx.Err() once ctx is cancelled.
 // The home-shard pop honors ctx; steal legs are bounded pops, with ctx
 // consulted between contended sweeps.
 func (h *PoolHandle[T]) PopLeftCtx(ctx context.Context, key uint64) (v T, ok bool, err error) {
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Pop(key, h.load)
-	if v, ok, err = h.hs[i].PopLeftCtx(ctx); err != nil || ok {
-		if ok {
-			h.note(i, -1)
-		}
-		return v, ok, err
-	}
-	if !h.p.steal {
-		return v, false, nil
-	}
-	return h.stealCtx(ctx, i, true)
+	return h.pop(ctx, key, true)
 }
 
 // PopRightCtx mirrors PopLeftCtx.
 func (h *PoolHandle[T]) PopRightCtx(ctx context.Context, key uint64) (v T, ok bool, err error) {
+	return h.pop(ctx, key, false)
+}
+
+// pushN is the body of PushLeftN/PushRightN.
+func (h *PoolHandle[T]) pushN(key uint64, vs []T, left bool) (int, error) {
 	lt := h.latStart()
 	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Pop(key, h.load)
-	if v, ok, err = h.hs[i].PopRightCtx(ctx); err != nil || ok {
-		if ok {
-			h.note(i, -1)
-		}
-		return v, ok, err
+	i := h.router.Push(key, h.load)
+	n, err := h.hs[i].pushN(vs, left)
+	if n > 0 {
+		h.note(i, int64(n))
 	}
-	if !h.p.steal {
-		return v, false, nil
-	}
-	return h.stealCtx(ctx, i, false)
+	return n, err
 }
 
 // PushLeftN pushes vs in order at the left end of one routed shard (a
 // batch never splits across shards, preserving its contiguity there). On
 // ErrFull the returned n reports the landed prefix: vs[:n] stays pushed,
 // vs[n:] had no effect.
-func (h *PoolHandle[T]) PushLeftN(key uint64, vs []T) (int, error) {
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Push(key, h.load)
-	n, err := h.hs[i].PushLeftN(vs)
-	if n > 0 {
-		h.note(i, int64(n))
-	}
-	return n, err
-}
+func (h *PoolHandle[T]) PushLeftN(key uint64, vs []T) (int, error) { return h.pushN(key, vs, true) }
 
 // PushRightN mirrors PushLeftN on the right end.
-func (h *PoolHandle[T]) PushRightN(key uint64, vs []T) (int, error) {
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Push(key, h.load)
-	n, err := h.hs[i].PushRightN(vs)
-	if n > 0 {
-		h.note(i, int64(n))
-	}
-	return n, err
-}
+func (h *PoolHandle[T]) PushRightN(key uint64, vs []T) (int, error) { return h.pushN(key, vs, false) }
 
 // stealN drains up to len(dst) values from the first non-empty victim's
 // opposite end. One victim per call: a stolen batch is contiguous in its
@@ -640,12 +582,7 @@ func (h *PoolHandle[T]) stealN(home int, left bool, dst []T) (got int) {
 	h.certify(nil, len(h.hs)-1, func() int { return h.stealOrder(home) },
 		func(i int) int { return h.order[i] },
 		func(j int) legResult {
-			if left {
-				got = h.hs[j].PopRightN(dst)
-			} else {
-				got = h.hs[j].PopLeftN(dst)
-			}
-			if got == 0 {
+			if got = h.hs[j].popN(dst, !left); got == 0 {
 				return legEmpty
 			}
 			h.note(j, -int64(got))
@@ -654,45 +591,33 @@ func (h *PoolHandle[T]) stealN(home int, left bool, dst []T) (got int) {
 	return got
 }
 
+// popN is the body of PopLeftN/PopRightN.
+func (h *PoolHandle[T]) popN(key uint64, dst []T, left bool) int {
+	if len(dst) == 0 {
+		return 0
+	}
+	lt := h.latStart()
+	defer h.latEnd(obs.LatPoolOp, lt)
+	i := h.router.Pop(key, h.load)
+	if n := h.hs[i].popN(dst, left); n > 0 {
+		h.note(i, -int64(n))
+		return n
+	}
+	if !h.p.steal {
+		return 0
+	}
+	return h.stealN(i, left, dst)
+}
+
 // PopLeftN pops up to len(dst) values from the left end of the routed
 // shard into dst in pop order, returning the count n: dst[:n] holds the
 // values, dst[n:] is untouched. When the home shard yields nothing and
 // stealing is on, the batch drains the opposite end of the most-loaded
 // other shard instead.
-func (h *PoolHandle[T]) PopLeftN(key uint64, dst []T) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Pop(key, h.load)
-	if n := h.hs[i].PopLeftN(dst); n > 0 {
-		h.note(i, -int64(n))
-		return n
-	}
-	if !h.p.steal {
-		return 0
-	}
-	return h.stealN(i, true, dst)
-}
+func (h *PoolHandle[T]) PopLeftN(key uint64, dst []T) int { return h.popN(key, dst, true) }
 
 // PopRightN mirrors PopLeftN, stealing from victims' left ends.
-func (h *PoolHandle[T]) PopRightN(key uint64, dst []T) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	lt := h.latStart()
-	defer h.latEnd(obs.LatPoolOp, lt)
-	i := h.router.Pop(key, h.load)
-	if n := h.hs[i].PopRightN(dst); n > 0 {
-		h.note(i, -int64(n))
-		return n
-	}
-	if !h.p.steal {
-		return 0
-	}
-	return h.stealN(i, false, dst)
-}
+func (h *PoolHandle[T]) PopRightN(key uint64, dst []T) int { return h.popN(key, dst, false) }
 
 // Flush returns every per-shard handle's cached slab capacity to the
 // shared freelists and drains each shard handle's deferred reclamation

@@ -21,7 +21,7 @@ import (
 //   - WithRankBound(r) caps the worst-case rank error: a pop may return
 //     a value at most r positions younger than the oldest resident one.
 //     The bound is enforced by segment-window accounting over per-shard
-//     sequence stamps (shard.Stamps; DESIGN.md §12): no shard's push or
+//     sequence stamps (shard.Stamps; DESIGN.md §11): no shard's push or
 //     pop counter may run more than a window L = r/(4·(shards-1)) ahead
 //     of the laggard, so no value can be overtaken by more than r
 //     others. Batch ops count as one reservation at their head, so a

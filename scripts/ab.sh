@@ -3,10 +3,9 @@
 # (default 2%) cpu-ns/op over arm A. Each arm is a build-tag list (empty
 # for the default build) and a benchmark regexp over the root package's
 # go-test benchmarks (oplat_bench_test.go); arms with equal tags race one
-# binary. scripts/verify.sh runs three gates:
+# binary. scripts/verify.sh runs two gates:
 #
 #   sh scripts/ab.sh obsoff 'ObsMixed4Way$' '' 'ObsMixed4Way$'
-#   sh scripts/ab.sh '' 'ObsMixed4Way$' '' 'ObsMixed4WayHelping$'
 #   sh scripts/ab.sh '' 'PoolKey0Alternating$' '' 'RelaxedStrictAlternating$'
 #
 # Measurement discipline, learned the hard way on a noisy shared box

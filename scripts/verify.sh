@@ -86,16 +86,6 @@ echo "== flight-recorder escalation gate (forced streak dumps + reconstructs) ==
 # see internal/chaostest/flight_test.go.
 go test -tags chaos -count=1 -run 'TestFlightRecorderOnEscalation' ./internal/chaostest/
 
-echo "== helping starvation-bound gate (parked-announcer schedule) =="
-# Fails if an announced op does not complete within the documented bound
-# (one poll interval of any active handle) or if an announced *Ctx op's
-# cancellation ever double-applies; see internal/chaostest/helping_test.go.
-go test -tags chaos -count=1 -run 'TestHelpBoundParkedAnnouncer|TestAnnouncedCancelExactlyOnce' \
-    ./internal/chaostest/
-
-echo "== helping-overhead A/B gate (helping on vs off) =="
-sh scripts/ab.sh '' 'ObsMixed4Way$' '' 'ObsMixed4WayHelping$'
-
 # The fault-free rank- and inversion-bound gates are the full suite's
 # TestRelaxedConservationConcurrent and TestDEPQConservationConcurrent.
 echo "== relaxed chaos gates (conservation + rank bound under fault schedules) =="
