@@ -21,10 +21,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_co
 // reclamation policy with elimination off and on, and pins the complete
 // outcome: every return value, the handle's Stats(), every obs counter
 // (transitions, fails, hint publishes, oracle walks/hops/restarts,
-// edge-cache hits/misses, elimination) and the sampled trace records.
-// Single-threaded, every figure is deterministic, so any change to the
-// operation scaffolding that moves a counter, a sample or a cache decision
-// shows up as a diff against testdata/golden_counters.txt. Regenerate with
+// edge-cache hits/misses, elimination) and, per op, the set of counters it
+// advanced and its failed-cycle count. Single-threaded, every figure is
+// deterministic, so any change to the operation scaffolding that moves a
+// counter or a cache decision shows up as a diff against testdata/golden_counters.txt. Regenerate with
 // -update-golden only for an intended behaviour change.
 func TestGoldenCounters(t *testing.T) {
 	if !obs.Enabled {
@@ -36,7 +36,7 @@ func TestGoldenCounters(t *testing.T) {
 		p    ReclaimPolicy
 	}{{"gc", ReclaimNone}, {"hazard", ReclaimHazard}, {"epoch", ReclaimEpoch}} {
 		for _, el := range []bool{false, true} {
-			cfg := Config{NodeSize: 8, MaxThreads: 2, Reclaim: rc.p, Elimination: el, TraceSample: 3}
+			cfg := Config{NodeSize: 8, MaxThreads: 2, Reclaim: rc.p, Elimination: el}
 			fmt.Fprintf(&out, "== %s elim=%v ==\n", rc.name, el)
 			goldenScript(&out, cfg)
 			fmt.Fprintf(&out, "== %s elim=%v staged seals ==\n", rc.name, el)
@@ -84,14 +84,17 @@ func goldenScript(out *strings.Builder, cfg Config) {
 	pops := func(tag string, n int, f func() (uint32, bool, error)) {
 		logf("%s:", tag)
 		for i := 0; i < n; i++ {
-			v, ok, err := f()
+			var v uint32
+			var ok bool
+			var err error
+			m := opMark(h, func() { v, ok, err = f() })
 			switch {
 			case err != nil:
-				logf(" err(%v)", err)
+				logf(" err(%v)%s", err, m)
 			case !ok:
-				logf(" empty")
+				logf(" empty%s", m)
 			default:
-				logf(" %d", v)
+				logf(" %d%s", v, m)
 			}
 		}
 		logf("\n")
@@ -99,10 +102,12 @@ func goldenScript(out *strings.Builder, cfg Config) {
 	pushes := func(tag string, n int, f func(i int) error) {
 		logf("%s:", tag)
 		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				logf(" err(%v)", err)
+			var err error
+			m := opMark(h, func() { err = f(i) })
+			if err != nil {
+				logf(" err(%v)%s", err, m)
 			} else {
-				logf(" ok")
+				logf(" ok%s", m)
 			}
 		}
 		logf("\n")
@@ -149,17 +154,19 @@ func goldenScript(out *strings.Builder, cfg Config) {
 	for i := range vals {
 		vals[i] = uint32(600 + i)
 	}
-	n, err := d.PushLeftN(h, vals[:30])
-	logf("PushLeftN: %d %v\n", n, err)
-	n, err = d.PushRightN(h, vals[30:])
-	logf("PushRightN: %d %v\n", n, err)
+	var n int
+	var err error
+	m := opMark(h, func() { n, err = d.PushLeftN(h, vals[:30]) })
+	logf("PushLeftN: %d %v %s\n", n, err, m)
+	m = opMark(h, func() { n, err = d.PushRightN(h, vals[30:]) })
+	logf("PushRightN: %d %v %s\n", n, err, m)
 	dst := make([]uint32, 40)
-	n = d.PopLeftN(h, dst[:25])
-	logf("PopLeftN: %v\n", dst[:n])
-	n = d.PopRightN(h, dst[:40])
-	logf("PopRightN: %v\n", dst[:n])
-	n = d.PopLeftN(h, dst[:5])
-	logf("PopLeftN(empty): %v\n", dst[:n])
+	m = opMark(h, func() { n = d.PopLeftN(h, dst[:25]) })
+	logf("PopLeftN: %v %s\n", dst[:n], m)
+	m = opMark(h, func() { n = d.PopRightN(h, dst[:40]) })
+	logf("PopRightN: %v %s\n", dst[:n], m)
+	m = opMark(h, func() { n = d.PopLeftN(h, dst[:5]) })
+	logf("PopLeftN(empty): %v %s\n", dst[:n], m)
 	pushes("ping-pong", 6, func(i int) error {
 		if err := d.PushLeft(h, uint32(i)); err != nil {
 			return err
@@ -253,12 +260,14 @@ func goldenSealScript(out *strings.Builder, cfg Config) {
 			d := New(cfg)
 			h := d.Register()
 			stageSeal(d, h, left)
-			res, err := o.run(d, h, left)
+			var res string
+			var err error
+			m := opMark(h, func() { res, err = o.run(d, h, left) })
 			side := "right"
 			if left {
 				side = "left"
 			}
-			fmt.Fprintf(out, "%s %s: %s err=%v len=%d stats=%+v\n  ", o.name, side, res, err, d.Len(), h.Stats())
+			fmt.Fprintf(out, "%s %s: %s err=%v %s len=%d stats=%+v\n  ", o.name, side, res, err, m, d.Len(), h.Stats())
 			for c := obs.Counter(0); c < obs.NumCounters; c++ {
 				if n := h.rec.Load(c); n != 0 {
 					fmt.Fprintf(out, " %s=%d", c, n)
@@ -310,33 +319,50 @@ func goldenFullScript(out *strings.Builder, cfg Config) {
 	logf := func(format string, a ...any) { fmt.Fprintf(out, format, a...) }
 	full := 0
 	for i := 0; i < 40 && full < 2; i++ {
-		err := d.PushRight(h, uint32(i))
-		logf("%d:%v ", i, err != nil)
+		var err error
+		m := opMark(h, func() { err = d.PushRight(h, uint32(i)) })
+		logf("%d:%v%s ", i, err != nil, m)
 		if errors.Is(err, ErrFull) {
 			full++
 		}
 	}
 	logf("\n")
 	for i := 0; i < 3; i++ {
-		v, ok := d.PopRight(h)
-		logf("PopRight: %d %v\n", v, ok)
+		var v uint32
+		var ok bool
+		m := opMark(h, func() { v, ok = d.PopRight(h) })
+		logf("PopRight: %d %v %s\n", v, ok, m)
 	}
-	logf("PushRightCtx: %v\n", d.PushRightCtx(ctx, h, 90))
-	logf("TryPushRight: %v\n", d.TryPushRight(h, 91, 2))
-	n, err := d.PushRightN(h, []uint32{92, 93, 94, 95, 96, 97, 98, 99})
-	logf("PushRightN: %d %v\n", n, err)
-	n, err = d.PushLeftN(h, []uint32{80, 81, 82, 83, 84, 85, 86, 87})
-	logf("PushLeftN: %d %v\n", n, err)
-	logf("PushLeftCtx: %v\n", d.PushLeftCtx(ctx, h, 79))
-	logf("TryPushLeft: %v\n", d.TryPushLeft(h, 78, 1))
+	var err error
+	m := opMark(h, func() { err = d.PushRightCtx(ctx, h, 90) })
+	logf("PushRightCtx: %v %s\n", err, m)
+	m = opMark(h, func() { err = d.TryPushRight(h, 91, 2) })
+	logf("TryPushRight: %v %s\n", err, m)
+	var n int
+	m = opMark(h, func() { n, err = d.PushRightN(h, []uint32{92, 93, 94, 95, 96, 97, 98, 99}) })
+	logf("PushRightN: %d %v %s\n", n, err, m)
+	m = opMark(h, func() { n, err = d.PushLeftN(h, []uint32{80, 81, 82, 83, 84, 85, 86, 87}) })
+	logf("PushLeftN: %d %v %s\n", n, err, m)
+	m = opMark(h, func() { err = d.PushLeftCtx(ctx, h, 79) })
+	logf("PushLeftCtx: %v %s\n", err, m)
+	m = opMark(h, func() { err = d.TryPushLeft(h, 78, 1) })
+	logf("TryPushLeft: %v %s\n", err, m)
 	dst := make([]uint32, 64)
-	n = d.PopLeftN(h, dst)
-	logf("PopLeftN: %v\n", dst[:n])
+	m = opMark(h, func() { n = d.PopLeftN(h, dst) })
+	logf("PopLeftN: %v %s\n", dst[:n], m)
 	goldenState(out, d, h)
 }
 
-// goldenState writes the handle's Stats, every counter, and the retained
-// trace records (minus their clock fields).
+// opMark runs f — one logged call on h — and renders what it did as
+// "[mask/attempts]": the obs.DiffMask of the counters it advanced and its
+// failed oracle+transition cycles (the Retries delta).
+func opMark(h *Handle, f func()) string {
+	before, retries := h.rec.Snapshot(), h.Retries
+	f()
+	return fmt.Sprintf("[%#x/%d]", obs.DiffMask(before, h.rec.Snapshot()), h.Retries-retries)
+}
+
+// goldenState writes the handle's Stats and every counter.
 func goldenState(out *strings.Builder, d *Deque, h *Handle) {
 	fmt.Fprintf(out, "stats: %+v\n", h.Stats())
 	fmt.Fprintf(out, "len=%d nodes=%d allocated=%d\n", d.Len(), d.Nodes(), d.NodesAllocated())
@@ -344,8 +370,5 @@ func goldenState(out *strings.Builder, d *Deque, h *Handle) {
 	for c := obs.Counter(0); c < obs.NumCounters; c++ {
 		fmt.Fprintf(out, " %s=%d", c, h.rec.Load(c))
 	}
-	fmt.Fprintf(out, "\ntrace total=%d\n", d.TraceTotal())
-	for _, r := range d.TraceRecords() {
-		fmt.Fprintf(out, "  %v %v mask=%#x attempts=%d aborted=%v\n", r.Op, r.Side, r.Transitions, r.Attempts, r.Aborted)
-	}
+	fmt.Fprintf(out, "\n")
 }
