@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the core half of the observability layer (internal/obs): the
-// deque-level Metrics aggregator and the sampled op tracer's hooks. The
+// deque-level Metrics aggregator and the single-op latency sampler. The
 // per-transition counters themselves ride the hot paths in left.go,
 // right.go, oracle.go, and batch.go as plain single-writer adds on each
 // handle's padded counter block (Handle.rec); building with -tags obsoff
@@ -50,93 +50,32 @@ func (d *Deque) LatencySnapshot() *obs.LatSnapshotSet { return d.latReg.Merge() 
 // ring fed by watchdog escalations and streak recoveries. Never nil.
 func (d *Deque) Flight() *obs.Flight { return d.flight }
 
-// TraceRecords returns the sampled-op ring's contents, oldest first, or nil
-// when tracing is disabled (Config.TraceSample == 0).
-func (d *Deque) TraceRecords() []obs.TraceRecord {
-	if d.tracer == nil {
-		return nil
-	}
-	return d.tracer.Records()
-}
-
-// TraceTotal returns how many operations have been sampled in total
-// (including records already overwritten in the ring); 0 when tracing is
-// disabled.
-func (d *Deque) TraceTotal() uint64 {
-	if d.tracer == nil {
-		return 0
-	}
-	return d.tracer.Total()
-}
-
-// opTrace carries a sampled operation's starting state from opStart to
-// opEnd: wall-clock start, which samplers fired (latency histogram, op
-// tracer, or both), and — for trace samples — the retry counter and the
-// handle's full counter block, whose diff afterwards recovers which
-// transitions the op took without threading state through the transition
-// functions.
-type opTrace struct {
-	start    time.Time
-	lat      bool // record into the latency histograms at opEnd
-	trace    bool // record a TraceRecord at opEnd
-	retries  uint64
-	counters [obs.NumCounters]uint64
-}
-
 // opStart opens a single operation: it notes the op identity for the
 // flight recorder (two plain stores on the handle's own lines) and
-// decrements the shared sampling countdown that serves both the latency
-// histograms (Config.LatSample) and the op tracer (Config.TraceSample).
-// The countdown is armed to whichever sampler fires next and parked at
-// MaxUint64 when neither is on, so an unsampled op — including every op
-// on obsoff builds — pays one decrement and one never-taken branch, and
-// the instruction stream is identical whether the observability layer is
-// compiled in or out. Returns nil unless this op is sampled.
-func (d *Deque) opStart(h *Handle, op obs.Op, side obs.Side) *opTrace {
+// decrements the latency sampler's countdown (Config.LatSample). The
+// countdown is parked at MaxUint64 when latency recording is off, so an
+// unsampled op — including every op on obsoff builds — pays one decrement
+// and one never-taken branch, and the instruction stream is identical
+// whether the observability layer is compiled in or out. Reports whether
+// this op is sampled.
+func (d *Deque) opStart(h *Handle, op obs.Op, side obs.Side) bool {
 	h.curOp, h.curSide = op, side
 	h.opTick--
 	if h.opTick != 0 {
-		return nil
+		return false
 	}
-	return d.opStartSlow(h)
+	d.opStartSlow(h)
+	return true
 }
 
-// opStartSlow fires the sampler(s) whose countdown elapsed, rearms the
-// shared wheel to the next event, and builds the sampled op's token. Kept
+// opStartSlow rearms the countdown and stamps the sampled op's start. Kept
 // out of line so opStart stays inlinable; reached once per sampling
 // interval.
 //
 //go:noinline
-func (d *Deque) opStartSlow(h *Handle) *opTrace {
-	elapsed := h.opChunk
-	tr := &opTrace{start: time.Now()}
-	h.traceLeft -= elapsed // parked samplers stay ~MaxUint64
-	if h.traceLeft == 0 {
-		tr.trace = true
-		tr.retries = h.Retries
-		tr.counters = h.rec.Snapshot()
-		h.traceLeft = uint64(d.tracer.Sample())
-	}
-	h.latLeft -= elapsed
-	if h.latLeft == 0 {
-		tr.lat = true
-		h.latLeft = uint64(d.latSample)
-	}
-	h.armTick()
-	if !tr.trace && !tr.lat {
-		return nil
-	}
-	return tr
-}
-
-// armTick points the shared countdown at the nearest sampler event.
-func (h *Handle) armTick() {
-	n := h.traceLeft
-	if h.latLeft < n {
-		n = h.latLeft
-	}
-	h.opChunk = n
-	h.opTick = n
+func (d *Deque) opStartSlow(h *Handle) {
+	h.opTick = uint64(d.latSample)
+	h.sampleAt = time.Now()
 }
 
 // latNow returns the current time when latency recording is on — the
@@ -151,31 +90,17 @@ func (d *Deque) latNow() (t time.Time) {
 
 // opEnd closes a single operation: a no-op (inlined to one register test)
 // unless opStart sampled it. Every return path of a single op must pass
-// its token here.
-func (d *Deque) opEnd(tr *opTrace, h *Handle, op obs.Op, side obs.Side, aborted bool) {
-	if tr == nil {
+// opStart's answer here.
+func (d *Deque) opEnd(sampled bool, h *Handle, op obs.Op, side obs.Side) {
+	if !sampled {
 		return
 	}
-	d.opEndSlow(tr, h, op, side, aborted)
+	d.opEndSlow(h, op, side)
 }
 
 //go:noinline
-func (d *Deque) opEndSlow(tr *opTrace, h *Handle, op obs.Op, side obs.Side, aborted bool) {
-	ns := time.Since(tr.start).Nanoseconds()
-	if obs.Enabled && tr.lat {
-		h.lat.Record(obs.LatClassOf(op, side), uint64(ns))
-	}
-	if tr.trace {
-		d.tracer.Record(obs.TraceRecord{
-			At:          tr.start.UnixNano(),
-			Op:          op,
-			Side:        side,
-			Transitions: obs.DiffMask(tr.counters, h.rec.Snapshot()),
-			Attempts:    h.Retries - tr.retries,
-			Ns:          ns,
-			Aborted:     aborted,
-		})
-	}
+func (d *Deque) opEndSlow(h *Handle, op obs.Op, side obs.Side) {
+	h.lat.Record(obs.LatClassOf(op, side), uint64(time.Since(h.sampleAt)))
 }
 
 // latEndAt records the elapsed time since t into class c — the closing

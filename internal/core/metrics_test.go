@@ -243,63 +243,32 @@ func TestMetricsMergeConsistentAcrossChurn(t *testing.T) {
 	}
 }
 
-// TestTracerSamplesOps arms the tracer at sample rate 1 and checks that
-// every scripted operation lands in the ring with the right op/side and a
-// plausible transition mask.
-func TestTracerSamplesOps(t *testing.T) {
-	d := New(Config{NodeSize: 8, MaxThreads: 2, TraceSample: 1, TraceBuf: 64})
-	h := d.Register()
-
-	const ops = 10
-	for i := 0; i < 5; i++ {
-		if err := d.PushLeft(h, uint32(i)); err != nil {
-			t.Fatalf("push: %v", err)
+// TestLatencySampleCadence pins the single-op latency sampler: one
+// countdown per handle spans pushes and pops alike, so every LatSample-th
+// op lands in its class's histogram, and a negative rate records nothing.
+func TestLatencySampleCadence(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("latency recording is compiled out (obsoff)")
+	}
+	for _, tc := range []struct {
+		sample, want int
+	}{{4, 10}, {1, 40}, {-1, 0}} {
+		d := New(Config{NodeSize: 8, MaxThreads: 2, LatSample: tc.sample})
+		h := d.Register()
+		for i := 0; i < 40; i++ {
+			if err := d.PushLeft(h, uint32(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 5; i++ {
-		d.PopRight(h)
-	}
-
-	if got := d.TraceTotal(); got != ops {
-		t.Fatalf("TraceTotal = %d, want %d", got, ops)
-	}
-	recs := d.TraceRecords()
-	if len(recs) != ops {
-		t.Fatalf("len(TraceRecords) = %d, want %d", len(recs), ops)
-	}
-	for i, r := range recs {
-		wantOp, wantSide := obs.OpPush, obs.SideLeft
-		if i >= 5 {
-			wantOp, wantSide = obs.OpPop, obs.SideRight
+		for i := 0; i < 40; i++ {
+			d.PopRight(h)
 		}
-		if r.Op != wantOp || r.Side != wantSide {
-			t.Errorf("record %d = %v/%v, want %v/%v", i, r.Op, r.Side, wantOp, wantSide)
+		set := d.LatencySnapshot()
+		for _, c := range []obs.LatClass{obs.LatPushLeft, obs.LatPopRight} {
+			if got := set.Classes[c].Count; got != uint64(tc.want) {
+				t.Errorf("LatSample %d: %v count = %d, want %d", tc.sample, c, got, tc.want)
+			}
 		}
-		if r.Aborted {
-			t.Errorf("record %d aborted; script is uncontended", i)
-		}
-		if r.Ns < 0 {
-			t.Errorf("record %d negative duration %d", i, r.Ns)
-		}
-		if obs.Enabled && i < 5 && !r.Took(obs.CtrL1) && !r.Took(obs.CtrL3) && !r.Took(obs.CtrL6) {
-			t.Errorf("push record %d took no push transition: %s", i, r.String())
-		}
-	}
-}
-
-// TestTracerDisabledIsNil pins the disabled-tracer contract: zero sample
-// rate means no ring, nil records, zero total.
-func TestTracerDisabledIsNil(t *testing.T) {
-	d := New(Config{NodeSize: 8, MaxThreads: 2})
-	h := d.Register()
-	if err := d.PushLeft(h, 1); err != nil {
-		t.Fatal(err)
-	}
-	if recs := d.TraceRecords(); recs != nil {
-		t.Fatalf("TraceRecords = %v, want nil", recs)
-	}
-	if n := d.TraceTotal(); n != 0 {
-		t.Fatalf("TraceTotal = %d, want 0", n)
 	}
 }
 

@@ -59,19 +59,19 @@ func (d *Deque) Push(h *Handle, s obs.Side, v uint32, b *Bound) error {
 		return ErrReserved
 	}
 	defer h.unpinOp(b)
-	var tr *opTrace
+	var sampled bool
 	if !b.isHead() {
-		tr = d.opStart(h, obs.OpPush, s)
+		sampled = d.opStart(h, obs.OpPush, s)
 		if b == nil && d.lElim != nil { // both arrays exist or neither
 			err := d.pushElim(h, s, d.elimArray(s), v)
-			d.opEnd(tr, h, obs.OpPush, s, err != nil)
+			d.opEnd(sampled, h, obs.OpPush, s)
 			return err
 		}
 	}
 	for {
 		if b != nil {
 			if err := b.check(); err != nil {
-				d.opEnd(tr, h, obs.OpPush, s, true)
+				d.opEnd(sampled, h, obs.OpPush, s)
 				return err
 			}
 		}
@@ -94,13 +94,13 @@ func (d *Deque) Push(h *Handle, s obs.Side, v uint32, b *Bound) error {
 			if b != nil {
 				b.idx = idx
 			}
-			d.opEnd(tr, h, obs.OpPush, s, false)
+			d.opEnd(sampled, h, obs.OpPush, s)
 			return nil
 		}
 		// An allocation failure leaves the cache set: the cached edge was
 		// right, the chain just cannot grow.
 		if err := h.takeAllocErr(); err != nil {
-			d.opEnd(tr, h, obs.OpPush, s, true)
+			d.opEnd(sampled, h, obs.OpPush, s)
 			return err
 		}
 		if cached {
@@ -114,19 +114,19 @@ func (d *Deque) Push(h *Handle, s obs.Side, v uint32, b *Bound) error {
 // was empty and is meaningful only when err is nil.
 func (d *Deque) Pop(h *Handle, s obs.Side, b *Bound) (v uint32, ok bool, err error) {
 	defer h.unpinOp(b)
-	var tr *opTrace
+	var sampled bool
 	if !b.isHead() {
-		tr = d.opStart(h, obs.OpPop, s)
+		sampled = d.opStart(h, obs.OpPop, s)
 		if b == nil && d.lElim != nil {
 			v, ok = d.popElim(h, s, d.elimArray(s))
-			d.opEnd(tr, h, obs.OpPop, s, false)
+			d.opEnd(sampled, h, obs.OpPop, s)
 			return v, ok, nil
 		}
 	}
 	for {
 		if b != nil {
 			if err := b.check(); err != nil {
-				d.opEnd(tr, h, obs.OpPop, s, true)
+				d.opEnd(sampled, h, obs.OpPop, s)
 				return 0, false, err
 			}
 		}
@@ -149,7 +149,7 @@ func (d *Deque) Pop(h *Handle, s obs.Side, b *Bound) (v uint32, ok bool, err err
 			if b != nil {
 				b.idx = idx
 			}
-			d.opEnd(tr, h, obs.OpPop, s, false)
+			d.opEnd(sampled, h, obs.OpPop, s)
 			return v, !empty, nil
 		}
 		if cached {

@@ -2,41 +2,15 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"io"
 	"runtime/pprof"
 	"strconv"
 )
 
-// Exporters: expvar publication, Prometheus text exposition, and pprof
-// goroutine labeling. These are deliberately dependency-free — the
-// Prometheus format is the plain text exposition format, written by hand.
-
-// ErrExpvarTaken reports that an expvar name is already published.
-type expvarTakenError struct{ name string }
-
-func (e expvarTakenError) Error() string {
-	return fmt.Sprintf("obs: expvar name %q already published", e.name)
-}
-
-// PublishExpvar publishes the snapshot function under name in the expvar
-// registry as a JSON object {"metrics": ..., "derived": ...}, evaluated on
-// every /debug/vars scrape. Returns an error (instead of expvar's panic)
-// when the name is taken.
-func PublishExpvar(name string, snapshot func() Metrics) error {
-	if expvar.Get(name) != nil {
-		return expvarTakenError{name}
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		m := snapshot()
-		return struct {
-			Metrics Metrics `json:"metrics"`
-			Derived Derived `json:"derived"`
-		}{m, m.Derive()}
-	}))
-	return nil
-}
+// Exporters: Prometheus text exposition and pprof goroutine labeling.
+// These are deliberately dependency-free — the Prometheus format is the
+// plain text exposition format, written by hand.
 
 // WriteProm writes m in the Prometheus text exposition format, every
 // metric name prefixed with prefix (e.g. "deque"). Counter semantics

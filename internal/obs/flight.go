@@ -9,14 +9,14 @@ import (
 )
 
 // The flight recorder is the deque's black box: a fixed, always-on ring of
-// enriched trace records fed only by rare distress events — watchdog
+// records fed only by rare distress events — watchdog
 // escalations and the recoveries that end an escalated streak — so it
 // costs the hot path nothing, yet after a production tail-latency
 // incident it holds the last N things that went wrong, each with a coarse
 // timestamp, the streak length, and the transition-counter mask
 // accumulated since the streak began (enough to reconstruct which paper
 // transitions the stalled op was failing at). It can be read on
-// demand (/debug/flightrecorder in dequed and obsserve) and dumps itself
+// demand (/debug/flightrecorder in dequed and schedd) and dumps itself
 // to a configured writer, rate-limited, whenever an escalation lands.
 
 // FlightKind is the distress event a FlightRecord captures.
@@ -68,7 +68,7 @@ type FlightRecord struct {
 	Kind FlightKind `json:"kind"`
 	Op   Op         `json:"op"`
 	Side Side       `json:"side"`
-	// Transitions is a Counter bitmask (as in TraceRecord): the counters
+	// Transitions is a Counter bitmask (see DiffMask): the counters
 	// that advanced since the failure streak began — for an escalation,
 	// the transition points the op kept losing at. Zero on obsoff builds.
 	Transitions uint32 `json:"transitions"`

@@ -130,6 +130,29 @@ func TestFlightRecordTook(t *testing.T) {
 	}
 }
 
+// TestFlightRecordDiffMask checks that DiffMask sets exactly the bits of
+// the counters that advanced, and that a record carrying the mask names
+// them along with its op, side and duration.
+func TestFlightRecordDiffMask(t *testing.T) {
+	var before, after [NumCounters]uint64
+	before[CtrL2], after[CtrL2] = 5, 5
+	after[CtrL1] = 1
+	after[CtrHintPublish] = 2
+	r := FlightRecord{Kind: FlightEscalate, Op: OpPush, Side: SideLeft, Transitions: DiffMask(before, after), Ns: 10}
+	if want := uint32(1<<uint32(CtrL1) | 1<<uint32(CtrHintPublish)); r.Transitions != want {
+		t.Fatalf("DiffMask = %#x, want %#x", r.Transitions, want)
+	}
+	if !r.Took(CtrL1) || !r.Took(CtrHintPublish) || r.Took(CtrL2) {
+		t.Fatalf("mask wrong: %b", r.Transitions)
+	}
+	s := r.String()
+	for _, want := range []string{"push", "left", "l1", "hint_publish", "10ns"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("String() = %q missing %q", s, want)
+		}
+	}
+}
+
 func TestFlightKindJSONRoundTrip(t *testing.T) {
 	for _, k := range []FlightKind{FlightEscalate, FlightRecover} {
 		b, err := json.Marshal(k)

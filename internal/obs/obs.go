@@ -1,7 +1,7 @@
 // Package obs is the deque's always-on observability layer: cheap
 // per-handle counters for every paper transition, an aggregator that merges
-// them into one Metrics snapshot with derived rates, a sampled op tracer,
-// and exporters (expvar, Prometheus text).
+// them into one Metrics snapshot with derived rates, latency histograms, a
+// flight recorder of distress events, and a Prometheus text exporter.
 //
 // The paper's evaluation (Figs. 5-7) reasons entirely in terms of the
 // transition mix — how often the interior fast paths (L1/L2) degrade into

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -193,62 +192,6 @@ func TestWriteProm(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prom output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	m := Metrics{}
-	m.Transitions[1] = 9
-	if err := PublishExpvar("obs_test_metrics", func() Metrics { return m }); err != nil {
-		t.Fatalf("PublishExpvar: %v", err)
-	}
-	v := expvar.Get("obs_test_metrics")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	if s := v.String(); !strings.Contains(s, `"transitions":[0,9,0,0,0,0,0]`) {
-		t.Fatalf("expvar JSON missing transitions: %s", s)
-	}
-	if err := PublishExpvar("obs_test_metrics", func() Metrics { return m }); err == nil {
-		t.Fatal("duplicate publish did not error")
-	}
-}
-
-func TestTracerRing(t *testing.T) {
-	tr := NewTracer(0, 4) // sample clamped to 1
-	if tr.Sample() != 1 {
-		t.Fatalf("Sample = %d", tr.Sample())
-	}
-	for i := 0; i < 6; i++ {
-		tr.Record(TraceRecord{Attempts: uint64(i)})
-	}
-	recs := tr.Records()
-	if len(recs) != 4 {
-		t.Fatalf("len(Records) = %d, want 4", len(recs))
-	}
-	for i, r := range recs {
-		if want := uint64(i + 2); r.Attempts != want { // oldest surviving is #2
-			t.Fatalf("record %d attempts = %d, want %d", i, r.Attempts, want)
-		}
-	}
-	if tr.Total() != 6 {
-		t.Fatalf("Total = %d", tr.Total())
-	}
-}
-
-func TestTraceRecordMaskAndString(t *testing.T) {
-	var before, after [NumCounters]uint64
-	after[CtrL1] = 1
-	after[CtrHintPublish] = 2
-	r := TraceRecord{Op: OpPush, Side: SideLeft, Transitions: DiffMask(before, after), Ns: 10}
-	if !r.Took(CtrL1) || !r.Took(CtrHintPublish) || r.Took(CtrL2) {
-		t.Fatalf("mask wrong: %b", r.Transitions)
-	}
-	s := r.String()
-	for _, want := range []string{"push", "left", "l1", "hint_publish", "10ns"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() = %q missing %q", s, want)
 		}
 	}
 }

@@ -26,8 +26,8 @@ type FlightSource interface {
 }
 
 // Process is the lifecycle the service binaries share (cmd/dequed,
-// cmd/schedd, cmd/obsserve): each fills in its flags, its banner and its
-// metrics writer, and Run does the rest.
+// cmd/schedd): each fills in its flags, its banner and its metrics writer,
+// and Run does the rest.
 type Process struct {
 	Name         string        // prefixes every diagnostic line
 	Addr         string        // listen address
@@ -88,9 +88,7 @@ func (p *Process) Run(ctx context.Context) int {
 	}
 	var msrv *http.Server
 	if p.Metrics != "" {
-		mux := http.NewServeMux()
-		p.Handle(mux)
-		msrv = &http.Server{Addr: p.Metrics, Handler: mux}
+		msrv = &http.Server{Addr: p.Metrics, Handler: p.metricsMux()}
 		go func() {
 			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				p.logf("metrics server: %v", err)
@@ -139,9 +137,10 @@ func (p *Process) Run(ctx context.Context) int {
 	return exit
 }
 
-// Handle registers /metrics (WriteMetrics, fresh per scrape) and
-// /debug/flightrecorder ({"total","records"} JSON) on mux.
-func (p *Process) Handle(mux *http.ServeMux) {
+// metricsMux routes /metrics (WriteMetrics, fresh per scrape) and
+// /debug/flightrecorder ({"total","records"} JSON).
+func (p *Process) metricsMux() *http.ServeMux {
+	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		if err := p.WriteMetrics(rw); err != nil {
@@ -160,6 +159,7 @@ func (p *Process) Handle(mux *http.ServeMux) {
 			p.logf("write /debug/flightrecorder: %v", err)
 		}
 	})
+	return mux
 }
 
 func (p *Process) logf(format string, args ...any) {

@@ -3,8 +3,8 @@
 // the accept loop, graceful and hard drain, the handle freelist, and the
 // pipelined request loop with its sampled service timing. A service
 // supplies how to register a handle, apply a validated request with it,
-// and park it between connections. Process is the lifecycle around it,
-// shared with cmd/obsserve.
+// and park it between connections. Process is the lifecycle around it:
+// listener, metrics server, signal drain and final snapshot.
 package server
 
 import (

@@ -24,11 +24,6 @@ type Metrics = obs.Metrics
 // oracle hops per op, elimination rate, edge-cache hit rate.
 type Derived = obs.Derived
 
-// TraceRecord is one sampled operation captured by WithTracing: which op,
-// which side, the set of paper transitions it took, how many retry cycles
-// it burned, and how long it ran.
-type TraceRecord = obs.TraceRecord
-
 // Metrics returns an aggregated snapshot of this deque's observability
 // counters and occupancy gauges. Safe to call concurrently with
 // operations; each counter is individually monotone across snapshots.
@@ -44,37 +39,10 @@ func (d *Deque[T]) Metrics() Metrics {
 // stores values directly in the slots).
 func (d *Uint32) Metrics() Metrics { return d.core.Metrics() }
 
-// TraceRecords returns the sampled-op ring's contents, oldest first, or
-// nil when tracing is off (see WithTracing).
-func (d *Deque[T]) TraceRecords() []TraceRecord { return d.core.TraceRecords() }
-
-// TraceRecords mirrors Deque[T].TraceRecords.
-func (d *Uint32) TraceRecords() []TraceRecord { return d.core.TraceRecords() }
-
-// TraceTotal returns how many operations have been sampled in total,
-// including records already overwritten in the ring; 0 when tracing is off.
-func (d *Deque[T]) TraceTotal() uint64 { return d.core.TraceTotal() }
-
-// TraceTotal mirrors Deque[T].TraceTotal.
-func (d *Uint32) TraceTotal() uint64 { return d.core.TraceTotal() }
-
-// PublishExpvar registers this deque under the given expvar name; the
-// variable renders {"metrics": ..., "derived": ...} from a fresh snapshot
-// on every read (e.g. of /debug/vars). Returns an error if the name is
-// already published.
-func (d *Deque[T]) PublishExpvar(name string) error {
-	return obs.PublishExpvar(name, d.Metrics)
-}
-
-// PublishExpvar mirrors Deque[T].PublishExpvar.
-func (d *Uint32) PublishExpvar(name string) error {
-	return obs.PublishExpvar(name, d.Metrics)
-}
-
 // WriteMetricsProm writes m in Prometheus text exposition format, every
 // series prefixed with prefix (e.g. "deque"). Pair with a Metrics() call
-// inside an http.Handler for a scrape endpoint; cmd/obsserve is a worked
-// example.
+// inside an http.Handler for a scrape endpoint; cmd/dequed's -metrics
+// server is a worked example.
 func WriteMetricsProm(w io.Writer, prefix string, m Metrics) error {
 	return obs.WriteProm(w, prefix, m)
 }

@@ -2,8 +2,6 @@ package deque
 
 import (
 	"bytes"
-	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -86,64 +84,6 @@ func TestMetricsWorkloadIdentity(t *testing.T) {
 		if v < 0 || v > 1 {
 			t.Errorf("derived %s = %v out of [0,1]", name, v)
 		}
-	}
-}
-
-// TestTracingOption exercises WithTracing end to end at the public API.
-func TestTracingOption(t *testing.T) {
-	d := New[int](WithNodeSize(8), WithTracing(1))
-	h := d.Register()
-	for i := 0; i < 8; i++ {
-		if err := h.PushRight(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		h.PopLeft()
-	}
-	if got := d.TraceTotal(); got != 16 {
-		t.Fatalf("TraceTotal = %d, want 16", got)
-	}
-	if recs := d.TraceRecords(); len(recs) != 16 {
-		t.Fatalf("len(TraceRecords) = %d, want 16", len(recs))
-	}
-	// Untracing deque stays nil.
-	d2 := New[int]()
-	if d2.TraceRecords() != nil || d2.TraceTotal() != 0 {
-		t.Fatal("untraced deque has trace state")
-	}
-}
-
-// TestPublishExpvar checks the expvar exporter: the published variable
-// renders a live {"metrics","derived"} object, and duplicate names report
-// an error instead of expvar's panic.
-func TestPublishExpvar(t *testing.T) {
-	d := NewUint32()
-	h := d.Register()
-	if err := h.PushLeft(7); err != nil {
-		t.Fatal(err)
-	}
-
-	const name = "test_deque_expvar"
-	if err := d.PublishExpvar(name); err != nil {
-		t.Fatalf("PublishExpvar: %v", err)
-	}
-	if err := d.PublishExpvar(name); err == nil {
-		t.Fatal("duplicate PublishExpvar did not error")
-	}
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatal("expvar.Get returned nil after publish")
-	}
-	var decoded struct {
-		Metrics Metrics `json:"metrics"`
-		Derived Derived `json:"derived"`
-	}
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("published var is not the documented JSON shape: %v", err)
-	}
-	if MetricsEnabled && decoded.Metrics.Pushes() != 1 {
-		t.Errorf("expvar snapshot Pushes() = %d, want 1", decoded.Metrics.Pushes())
 	}
 }
 
