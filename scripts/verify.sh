@@ -13,6 +13,18 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+# The core's single-op sampler costs an unsampled op one decrement and one
+# never-taken branch only while opStart and opEnd inline into every push and
+# pop (internal/core/metrics.go); fail when the compiler stops inlining them.
+echo "== inline gate (core opStart/opEnd) =="
+inlined=$(go build -gcflags=-m ./internal/core 2>&1)
+for fn in opStart opEnd; do
+    if ! printf '%s\n' "$inlined" | grep -q "can inline (\*Deque)\.$fn\$"; then
+        echo "inline gate: (*Deque).$fn no longer inlines" >&2
+        exit 1
+    fi
+done
+
 # Every tracked .go file must be gofmt-clean; gofmt -l names the ones
 # that are not.
 echo "== gofmt =="
