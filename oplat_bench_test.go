@@ -21,7 +21,7 @@ import (
 
 // benchOpts honors OPLAT_LATSAMPLE so the overhead gate's attribution
 // mode can race the same binary against itself with only the latency
-// sampler changed (e.g. OPLAT_LATSAMPLE=-1 disables it; unset keeps the
+// sampler changed (e.g. OPLAT_LATSAMPLE=0 disables it; unset keeps the
 // default interval).
 func benchOpts(opts ...Option) []Option {
 	if s := os.Getenv("OPLAT_LATSAMPLE"); s != "" {
@@ -106,6 +106,56 @@ func benchAlternating(b *testing.B, push func(uint32) error, pop func() (uint32,
 			b.Fatal(err)
 		}
 		pop()
+	}
+	reportCPUPerOp(b, start)
+}
+
+// BenchmarkUint32Batch8/64 and BenchmarkUint32Single8/64 measure what the
+// batch API buys on one Uint32 handle: each op moves n values in at the
+// left and n out at the right, through one PushLeftN+PopRightN pair or
+// through n PushLeft and n PopRight calls. Race a pair with scripts/ab.sh:
+//
+//	sh scripts/ab.sh '' 'Uint32Single8$' '' 'Uint32Batch8$'
+func BenchmarkUint32Batch8(b *testing.B)   { benchUint32Round(b, 8, true) }
+func BenchmarkUint32Single8(b *testing.B)  { benchUint32Round(b, 8, false) }
+func BenchmarkUint32Batch64(b *testing.B)  { benchUint32Round(b, 64, true) }
+func BenchmarkUint32Single64(b *testing.B) { benchUint32Round(b, 64, false) }
+
+// benchUint32Round prefills one handle and times b.N rounds of n pushes
+// at the left and n pops at the right, batched or one value at a time.
+func benchUint32Round(b *testing.B, n int, batch bool) {
+	h := NewUint32(benchOpts(WithMaxThreads(2))...).Register()
+	for i := 0; i < 1024; i++ {
+		if err := h.PushLeft(uint32(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vals, dst := make([]uint32, n), make([]uint32, n)
+	for i := range vals {
+		vals[i] = uint32(i)
+	}
+	b.ResetTimer()
+	start := cpuTimeNs()
+	for i := 0; i < b.N; i++ {
+		if batch {
+			if _, err := h.PushLeftN(vals); err != nil {
+				b.Fatal(err)
+			}
+			if got := h.PopRightN(dst); got != n {
+				b.Fatalf("PopRightN = %d, want %d", got, n)
+			}
+			continue
+		}
+		for _, v := range vals {
+			if err := h.PushLeft(v); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for range vals {
+			if _, ok := h.PopRight(); !ok {
+				b.Fatal("PopRight on a prefilled deque reported empty")
+			}
+		}
 	}
 	reportCPUPerOp(b, start)
 }
