@@ -36,9 +36,8 @@ func main() {
 		steal    = flag.Bool("steal", true, "steal-on-empty rebalancing across shards")
 		capacity = flag.Int("capacity", 0, "per-shard value capacity (0 = default)")
 		maxconns = flag.Int("maxconns", 64, "concurrent connection cap (pool handles are pooled up to this)")
-		reclaim  = flag.String("reclaim", "gc", "node reclamation: gc, hazard, or epoch (recycling)")
+		reclaim  = flag.String("reclaim", "gc", "node reclamation: gc or hazard (hazard recycles removed nodes)")
 		memlimit = flag.Int64("memlimit", 0, "per-shard node-memory cap in bytes (0 = unbounded); exceeding pushes get STATUS_FULL")
-		watchdog = flag.Int("watchdog", 0, "livelock-watchdog streak threshold per shard (0 = default 256)")
 		relaxed  = flag.Bool("relaxed", false, "serve through the semantically-relaxed d-choice front-end (keys ignored; ordering relaxed across shards)")
 		dFlag    = flag.Int("d", 2, "relaxed sample width: shards sampled per op (0 = strict passthrough; needs -relaxed)")
 		rank     = flag.Int("rank-bound", 0, "worst-case rank-error bound for -relaxed (0 = unbounded; else >= 4*(shards-1))")
@@ -64,9 +63,6 @@ func main() {
 	}
 	if *memlimit > 0 {
 		shardOpts = append(shardOpts, dq.WithMemoryLimit(*memlimit))
-	}
-	if *watchdog > 0 {
-		shardOpts = append(shardOpts, dq.WithWatchdogThreshold(*watchdog))
 	}
 	srv, err := NewServer(Config{
 		Shards:    *shards,

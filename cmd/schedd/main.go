@@ -42,7 +42,7 @@ func main() {
 		choice   = flag.Int("choice", 2, "d-choice width: bands sampled inside the inversion window per pop")
 		capacity = flag.Int("capacity", 0, "per-band job capacity (0 = default); full bands shed with STATUS_FULL")
 		maxconns = flag.Int("maxconns", 64, "concurrent connection cap (DEPQ handles are pooled up to this)")
-		reclaim  = flag.String("reclaim", "gc", "node reclamation: gc, hazard, or epoch (recycling)")
+		reclaim  = flag.String("reclaim", "gc", "node reclamation: gc or hazard (hazard recycles removed nodes)")
 	)
 	flag.Parse()
 

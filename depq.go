@@ -100,7 +100,7 @@ func WithBandChoice(d int) DEPQOption {
 }
 
 // WithDEPQPool forwards pool options (WithShardOptions for capacity,
-// reclamation, watchdog, ...) to the underlying Pool. Routing options are
+// reclamation, memory limit, ...) to the underlying Pool. Routing options are
 // accepted but unused — band selection replaces routing — and stealing
 // is always forced off: a steal moving values across bands would
 // silently reorder priorities behind the bound's back.

@@ -157,14 +157,14 @@ func TestDEPQFullUndoesReservation(t *testing.T) {
 
 // TestDEPQConservationConcurrent pushes a tagged value set from many
 // goroutines with mixed priorities and pops from both ends, checking
-// conservation (every value exactly once) and the inversion bound under
-// both recycling reclamation policies — the -race pass covers the band
-// stamp protocol's interplay with hazard and epoch reclamation.
+// conservation (every value exactly once) and the inversion bound with and
+// without node recycling — the -race pass covers the band stamp protocol's
+// interplay with hazard reclamation.
 func TestDEPQConservationConcurrent(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		rec  Reclamation
-	}{{"gc", ReclaimGC}, {"hazard", ReclaimHazard}, {"epoch", ReclaimEpoch}} {
+	}{{"gc", ReclaimGC}, {"hazard", ReclaimHazard}} {
 		rec := c.rec
 		t.Run(c.name, func(t *testing.T) {
 			const (

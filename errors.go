@@ -86,14 +86,11 @@ func (o options) validate() error {
 	if o.latSampleSet && o.latSample < 0 {
 		return fmt.Errorf("%w: WithLatencySample(%d) must be non-negative", ErrBadOption, o.latSample)
 	}
-	if o.reclaimSet && (o.reclaim < ReclaimGC || o.reclaim > ReclaimEpoch) {
+	if o.reclaimSet && (o.reclaim < ReclaimGC || o.reclaim > ReclaimHazard) {
 		return fmt.Errorf("%w: WithReclamation(%d) is not a defined policy", ErrBadOption, o.reclaim)
 	}
 	if o.poolNodesSet && o.poolNodes <= 0 {
 		return fmt.Errorf("%w: WithPoolNodes(%d) must be positive", ErrBadOption, o.poolNodes)
-	}
-	if o.watchdogSet && o.watchdog <= 0 {
-		return fmt.Errorf("%w: WithWatchdogThreshold(%d) must be positive", ErrBadOption, o.watchdog)
 	}
 	if o.memLimitSet && o.nodeBudget() < 2 {
 		return fmt.Errorf("%w: WithMemoryLimit(%d) admits fewer than 2 nodes of %d bytes each",

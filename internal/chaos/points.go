@@ -67,10 +67,6 @@ const (
 	// (forced failure defers the retire to the handle's next drain, exactly
 	// as if the grace period had not yet expired).
 	Retire
-	// EpochAdvance is an epoch-domain global-advance attempt (forced
-	// failure models losing the advance race: limbo lists age one interval
-	// longer).
-	EpochAdvance
 	// PoolGet is a node-pool reuse attempt (forced failure is a pool miss:
 	// the caller falls back to a fresh allocation).
 	PoolGet
@@ -83,7 +79,7 @@ var pointNames = [NumPoints]string{
 	"L1", "L2", "L3", "L4", "L5", "L6", "L7",
 	"E1", "E2", "E3", "H",
 	"Oracle", "EdgeCache", "SlabAlloc", "RegistryAlloc",
-	"Retire", "EpochAdvance", "PoolGet",
+	"Retire", "PoolGet",
 }
 
 // String returns the point's name as used in schedules, tests, and docs.

@@ -35,13 +35,13 @@ func forcedLivelockPop() *chaos.Schedule {
 }
 
 // TestCtxCancelUnderForcedLivelock runs under each reclamation policy: a
-// cancelled op must also leave the recycling state (hazard slots, epoch
-// pins, retired nodes) exactly as an op that never ran.
+// cancelled op must also leave the recycling state (hazard slots, retired
+// nodes) exactly as an op that never ran.
 func TestCtxCancelUnderForcedLivelock(t *testing.T) {
 	for _, rc := range []struct {
 		name string
 		p    core.ReclaimPolicy
-	}{{"gc", core.ReclaimNone}, {"hazard", core.ReclaimHazard}, {"epoch", core.ReclaimEpoch}} {
+	}{{"gc", core.ReclaimNone}, {"hazard", core.ReclaimHazard}} {
 		t.Run(rc.name, func(t *testing.T) {
 			d := core.New(core.Config{NodeSize: core.MinNodeSize, MaxThreads: 2, Reclaim: rc.p})
 			h := d.Register()

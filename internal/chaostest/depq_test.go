@@ -19,7 +19,6 @@ var depqReclaims = []struct {
 	pol  dq.Reclamation
 }{
 	{"hazard", dq.ReclaimHazard},
-	{"epoch", dq.ReclaimEpoch},
 }
 
 // TestDEPQConservationChaos runs a concurrent priority workload through

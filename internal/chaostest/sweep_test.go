@@ -175,12 +175,10 @@ func TestSeededSweepCoverage(t *testing.T) {
 			h := d.Register()
 			g := dq.New[int](dq.WithNodeSize(8))
 			gh := g.Register()
-			// Epoch-mode recycling deque: its node churn flows through the
-			// Retire hand-off, EpochAdvance attempts, and PoolGet reuse
-			// points (hazard mode shares Retire/PoolGet, so one recycling
-			// config covers all three).
+			// Recycling deque: its node churn flows through the Retire
+			// hand-off and PoolGet reuse points.
 			dr := core.New(core.Config{NodeSize: core.MinNodeSize, MaxThreads: 4,
-				Reclaim: core.ReclaimEpoch, PoolNodes: 8})
+				Reclaim: core.ReclaimHazard, PoolNodes: 8})
 			hr := dr.Register()
 
 			s := failEverywhere(seed)
@@ -194,10 +192,9 @@ func TestSeededSweepCoverage(t *testing.T) {
 				t.Fatalf("invariant after sweep: %v", err)
 			}
 
-			// Reclamation layer: forced Retire failures defer batches,
-			// forced EpochAdvance failures stall grace, forced PoolGet
-			// failures miss the pool — all degrade to fresh allocation or
-			// later reclamation, never to lost values.
+			// Reclamation layer: forced Retire failures defer batches and
+			// forced PoolGet failures miss the pool — both degrade to fresh
+			// allocation or later reclamation, never to lost values.
 			driveAllStates(t, dr, hr, 40)
 			hr.Drain()
 			if err := dr.CheckInvariant(); err != nil {

@@ -38,19 +38,19 @@ func (d *Deque) PushLeftN(h *Handle, vals []uint32) (int, error) {
 	return d.pushN(h, obs.SideLeft, vals)
 }
 
-// pushN is PushLeftN/PushRightN on side s. Each run's head goes through
-// the push loop as a head (no per-op steps), and the side's
-// run extension continues from the slot the head landed on.
+// pushN is PushLeftN/PushRightN on side s. The call takes one tick of the
+// handle's latency countdown, like a single op, and a sampled call records
+// its whole duration as batch_push. Each run's head goes through the push
+// loop as a head (no per-op steps), and the side's run extension continues
+// from the slot the head landed on.
 func (d *Deque) pushN(h *Handle, s obs.Side, vals []uint32) (int, error) {
-	defer h.unpin()
 	for _, v := range vals {
 		if word.IsReserved(v) {
 			return 0, ErrReserved
 		}
 	}
-	h.curOp, h.curSide = obs.OpPush, s
-	bt := d.latNow() // whole-batch latency, always recorded (amortized over n)
-	defer d.latEndAt(h, obs.LatBatchPush, bt)
+	sampled := d.opStart(h, obs.OpPush, s)
+	defer d.batchEnd(sampled, h, obs.LatBatchPush)
 	if a := d.elimArray(s); a != nil {
 		for i, v := range vals {
 			if err := d.pushElim(h, s, a, v); err != nil {
@@ -130,13 +130,11 @@ func (d *Deque) PopLeftN(h *Handle, dst []uint32) int { return d.popN(h, obs.Sid
 
 // popN is PopLeftN/PopRightN on side s, built like pushN.
 func (d *Deque) popN(h *Handle, s obs.Side, dst []uint32) int {
-	defer h.unpin()
-	h.curOp, h.curSide = obs.OpPop, s
-	bt := d.latNow() // whole-batch latency, always recorded (amortized over n)
-	defer d.latEndAt(h, obs.LatBatchPop, bt)
-	if d.elimArray(s) != nil {
+	sampled := d.opStart(h, obs.OpPop, s)
+	defer d.batchEnd(sampled, h, obs.LatBatchPop)
+	if a := d.elimArray(s); a != nil {
 		for i := range dst {
-			v, ok, _ := d.Pop(h, s, nil)
+			v, ok := d.popElim(h, s, a)
 			if !ok {
 				return i
 			}

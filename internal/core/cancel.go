@@ -92,7 +92,7 @@ type Bound struct {
 	done     <-chan struct{}
 	attempts int  // the attempt budget; 0 = unlimited
 	ran      int  // attempts begun so far (kept here, off the plain path)
-	head     bool // a batch run's head: no per-op steps
+	head     bool // a batch run's head: no opStart or elimination
 	idx      int  // out: the landing attempt's edge index, for a batch run
 }
 
@@ -134,12 +134,3 @@ func (b *Bound) check() error {
 }
 
 func (b *Bound) isHead() bool { return b != nil && b.head }
-
-// unpinOp ends an operation's epoch pin, except a batch head's: the batch
-// stays pinned across its run and unpins once at the end. (One
-// unconditional defer of this is cheaper than a conditional defer.)
-func (h *Handle) unpinOp(b *Bound) {
-	if !b.isHead() {
-		h.unpin()
-	}
-}

@@ -43,9 +43,9 @@
 // link inward toward nodes removed no earlier, the paper's own invariant),
 // while threads holding only the stale ID get nil and restart from the
 // global hint, whose node is carried as a real pointer and therefore always
-// resolves. With a recycling policy (Config.Reclaim), removed nodes instead
-// return to a bounded pool after a grace period — hazard-pointer or
-// epoch-based — and the entry-cleared-at-retire rule is what keeps stale
+// resolves. With the recycling policy (Config.Reclaim), removed nodes instead
+// return to a bounded pool once no hazard pointer names them — the paper's
+// own scheme — and the entry-cleared-at-retire rule is what keeps stale
 // IDs from ever reaching a node whose grace clock is running; reclaim.go
 // states the invariants (I0-I4) that make same-ID reuse safe.
 //
@@ -68,7 +68,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/chaos"
 	"repro/internal/elim"
-	"repro/internal/epoch"
 	"repro/internal/hazard"
 	"repro/internal/obs"
 	"repro/internal/pad"
@@ -117,6 +116,13 @@ const (
 	// with; escalation (max window + a scheduler yield) is the cheap,
 	// always-safe response.
 	DefaultWatchdogThreshold = 256
+	// streakStampAt is the failure-streak length at which a handle
+	// snapshots its counter block and the clock for the flight recorder.
+	// Ordinary CAS races lose a handful of rounds, never a quarter of the
+	// watchdog threshold, so deferring the stamp keeps the counter copy and
+	// clock read off the contended retry path; any streak long enough to
+	// produce a flight record has already stamped.
+	streakStampAt = DefaultWatchdogThreshold / 4
 )
 
 // ElimPlacement selects where elimination attempts happen, for the ablation
@@ -149,19 +155,19 @@ type Config struct {
 	// ElimSpins is how long ElimOnCriticalPath lingers waiting for a
 	// partner before trying the deque (ignored by the paper's placement).
 	ElimSpins int
-	// LatSample is the latency-histogram sampling interval for single
-	// push/pop operations: every LatSample-th op per handle records its
-	// duration into the per-class histograms (batch ops and steal sweeps
-	// record always — they are rare or amortized). 0 selects
+	// LatSample is the latency-histogram sampling interval: every
+	// LatSample-th call per handle records its duration into its class's
+	// histogram. Single pushes and pops and whole PushN/PopN calls share
+	// the one countdown; a batch call is one tick. 0 selects
 	// obs.DefaultLatSample; negative disables latency recording.
 	// Sampling is what keeps the two time.Now() calls inside the <=2%
 	// observability budget; the obsoff build compiles recording away
 	// entirely.
 	LatSample int
 	// Reclaim selects the node-reclamation policy: ReclaimNone (clear on
-	// removal, GC frees — the historical behavior), or ReclaimHazard /
-	// ReclaimEpoch, which retire removed nodes through a grace domain into
-	// a bounded recycling pool (see reclaim.go).
+	// removal, GC frees — the historical behavior) or ReclaimHazard, which
+	// retires removed nodes through a hazard-pointer domain into a bounded
+	// recycling pool (see reclaim.go).
 	Reclaim ReclaimPolicy
 	// PoolNodes bounds the recycling pool (default DefaultPoolNodes);
 	// ignored when Reclaim is ReclaimNone.
@@ -170,11 +176,6 @@ type Config struct {
 	// at once — chained, awaiting grace, and pooled together. A push that
 	// would allocate past the cap fails with ErrFull. 0 means unbounded.
 	MaxLiveNodes uint32
-	// WatchdogThreshold is the consecutive-failure streak that trips the
-	// livelock watchdog (backoff escalation + yield). 0 selects
-	// DefaultWatchdogThreshold; New panics on negative values (the public
-	// wrapper validates first).
-	WatchdogThreshold int
 }
 
 func (c Config) withDefaults() Config {
@@ -194,9 +195,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ElimSpins == 0 {
 		c.ElimSpins = 128
-	}
-	if c.WatchdogThreshold == 0 {
-		c.WatchdogThreshold = DefaultWatchdogThreshold
 	}
 	if c.LatSample == 0 {
 		c.LatSample = obs.DefaultLatSample
@@ -239,34 +237,22 @@ type Deque struct {
 
 	nextTID atomic.Int32
 
-	// Reclamation state (reclaim.go). Exactly one domain is non-nil when
-	// Config.Reclaim selects a recycling policy; pool and limbo are non-nil
-	// iff a domain is. limbo parks retired nodes — whose registry entries
-	// are cleared at retire time (invariant I0) — until the grace domain
-	// expires their keys and the pool takes them back. memNodes is the
+	// Reclamation state (reclaim.go). hazDom, pool and limbo are non-nil
+	// iff Config.Reclaim selects recycling. limbo parks retired nodes —
+	// whose registry entries are cleared at retire time (invariant I0) —
+	// until the hazard domain frees their keys and the pool takes them
+	// back. memNodes is the
 	// node-memory account: +1 per fresh node allocation, -1 when a node
 	// leaves for the GC (removal under ReclaimNone, pool overflow after
 	// grace, or a drained spare the pool would not retain).
-	hazDom   *hazard.Domain
-	epochDom *epoch.Domain
-	pool     *arena.NodePool[node]
-	limbo    *arena.IDMap[node]
+	hazDom *hazard.Domain
+	pool   *arena.NodePool[node]
+	limbo  *arena.IDMap[node]
 
 	memNodes     atomic.Int64
 	memHighWater atomic.Int64
 	nodesRetired atomic.Uint64
 	nodesFreed   atomic.Uint64
-
-	// watchdog caches the effective watchdog threshold.
-	watchdog uint64
-
-	// streakStampAt is the failure-streak length at which a handle snapshots
-	// its counter block and the clock for the flight recorder (watchdog/4,
-	// min 1). Ordinary CAS races lose a handful of rounds, never a quarter
-	// of the watchdog threshold, so deferring the stamp keeps the counter
-	// copy and clock read off the contended retry path; any streak long
-	// enough to produce a flight record (>= watchdog) has already stamped.
-	streakStampAt uint64
 }
 
 // node is one buffer in the doubly-linked chain (Fig. 5 lines 22-37).
@@ -353,18 +339,10 @@ func New(cfg Config) *Deque {
 	if cfg.MaxThreads < 1 {
 		panic("core: MaxThreads must be positive")
 	}
-	if cfg.WatchdogThreshold < 1 {
-		panic("core: WatchdogThreshold must be positive")
-	}
 	d := &Deque{
 		sz:  cfg.NodeSize,
 		cfg: cfg,
 		reg: arena.NewRegistry[node](cfg.RegistryLimit),
-	}
-	d.watchdog = uint64(cfg.WatchdogThreshold)
-	d.streakStampAt = d.watchdog / 4
-	if d.streakStampAt == 0 {
-		d.streakStampAt = 1
 	}
 	if cfg.Elimination {
 		d.lElim = elim.New(cfg.MaxThreads)
@@ -564,10 +542,10 @@ type Handle struct {
 	// consecFails is the livelock watchdog: consecutive failed transition
 	// attempts since the last success, across operations. Obstruction
 	// freedom means a long failure streak is always caused by interference
-	// (or a chaos schedule); each threshold-long streak (Config.WatchdogThreshold) escalates
-	// the backoff to its maximum window and yields the processor, which
-	// breaks the symmetric-retry convoys that pure exponential backoff is
-	// slow to escape. ConsecFailsPeak and LivelockEscalations feed Stats.
+	// (or a chaos schedule); each DefaultWatchdogThreshold-long streak
+	// escalates the backoff to its maximum window and yields the
+	// processor, which breaks the symmetric-retry convoys that pure
+	// exponential backoff is slow to escape. ConsecFailsPeak and LivelockEscalations feed Stats.
 	consecFails         uint64
 	ConsecFailsPeak     uint64
 	LivelockEscalations uint64
@@ -589,11 +567,10 @@ type Handle struct {
 	Retries       uint64
 	EdgeCacheHits uint64
 
-	// ep/hp is this handle's grace-domain participant — exactly one is
-	// non-nil under a recycling policy, neither under ReclaimNone.
-	// retireBatch stages removed-node keys during an unregister walk until
-	// flushRetires hands them to the domain (reclaim.go).
-	ep          *epoch.Participant
+	// hp is this handle's hazard-domain participant, nil under
+	// ReclaimNone. retireBatch stages removed-node keys during an
+	// unregister walk until flushRetires hands them to the domain
+	// (reclaim.go).
 	hp          *hazard.Participant
 	retireBatch []uint64
 
@@ -606,9 +583,9 @@ type Handle struct {
 	// per op class). Zero-size on obsoff builds.
 	lat *obs.LatRec
 	// Latency sampler (metrics.go): opTick is the countdown every single
-	// op decrements, rearmed to Deque.latSample when it reaches zero and
-	// parked at MaxUint64 when latency recording is off; sampleAt is the
-	// sampled op's start. One decrement and one never-taken branch per
+	// op and every batch call decrements, rearmed to Deque.latSample when
+	// it reaches zero and parked at MaxUint64 when latency recording is
+	// off; sampleAt is the sampled op's start. One decrement and one never-taken branch per
 	// unsampled op, identical with or without -tags obsoff.
 	opTick   uint64
 	sampleAt time.Time
@@ -616,8 +593,8 @@ type Handle struct {
 	// Flight-recorder context. curOp/curSide are set at every operation
 	// start (two plain stores on an owned line) so distress records can
 	// name the op in trouble; streakBase/streakStart snapshot the counter
-	// block and the clock once a failure streak reaches Deque.streakStampAt
-	// (watchdog/4), letting an escalation record carry the transition mask
+	// block and the clock once a failure streak reaches streakStampAt
+	// (a quarter of the watchdog threshold), letting an escalation record carry the transition mask
 	// and duration accumulated since then (short streaks never pay the
 	// copy); escalated marks a streak that tripped the
 	// watchdog so the next success writes a recover record.
@@ -662,13 +639,13 @@ func (h *Handle) Stats() Stats {
 }
 
 // noteFailure records a failed transition attempt: retry accounting, the
-// livelock watchdog (threshold Config.WatchdogThreshold, default
-// DefaultWatchdogThreshold), and one backoff step. Call exactly once per
+// livelock watchdog (threshold DefaultWatchdogThreshold), and one backoff
+// step. Call exactly once per
 // failed oracle+transition cycle.
 func (h *Handle) noteFailure() {
 	h.Retries++
 	h.consecFails++
-	if obs.Enabled && h.consecFails == h.d.streakStampAt {
+	if obs.Enabled && h.consecFails == streakStampAt {
 		// The streak has lasted a quarter of the watchdog threshold:
 		// snapshot the counter block and the clock so an eventual
 		// escalation record can say which transitions the op kept failing
@@ -682,7 +659,7 @@ func (h *Handle) noteFailure() {
 	if h.consecFails > h.ConsecFailsPeak {
 		h.ConsecFailsPeak = h.consecFails
 	}
-	if h.consecFails%h.d.watchdog == 0 {
+	if h.consecFails%DefaultWatchdogThreshold == 0 {
 		h.LivelockEscalations++
 		h.bo.Escalate()
 		h.d.flightEscalate(h)
@@ -755,10 +732,7 @@ func (d *Deque) Register() *Handle {
 		h.opTick = uint64(d.latSample)
 	}
 	h.bo.Init(backoff.DefaultMinSpins, backoff.DefaultMaxSpins, uint64(tid)*0x9e3779b97f4a7c15+1)
-	switch {
-	case d.epochDom != nil:
-		h.ep = d.epochDom.Register()
-	case d.hazDom != nil:
+	if d.hazDom != nil {
 		h.hp = d.hazDom.Register()
 	}
 	return h

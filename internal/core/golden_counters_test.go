@@ -34,7 +34,7 @@ func TestGoldenCounters(t *testing.T) {
 	for _, rc := range []struct {
 		name string
 		p    ReclaimPolicy
-	}{{"gc", ReclaimNone}, {"hazard", ReclaimHazard}, {"epoch", ReclaimEpoch}} {
+	}{{"gc", ReclaimNone}, {"hazard", ReclaimHazard}} {
 		for _, el := range []bool{false, true} {
 			cfg := Config{NodeSize: 8, MaxThreads: 2, Reclaim: rc.p, Elimination: el}
 			fmt.Fprintf(&out, "== %s elim=%v ==\n", rc.name, el)

@@ -21,7 +21,7 @@ import (
 func (d *Deque) Metrics() obs.Metrics {
 	m := obs.FromCounters(d.obsReg.Merge())
 	m.Handles = d.obsReg.Handles()
-	m.WatchdogThreshold = d.watchdog
+	m.WatchdogThreshold = DefaultWatchdogThreshold
 	m.NodesAllocated = uint64(d.reg.Allocated())
 	m.NodesFreed = uint64(d.reg.Freed())
 	m.NodesLive = m.NodesAllocated - m.NodesFreed
@@ -50,7 +50,7 @@ func (d *Deque) LatencySnapshot() *obs.LatSnapshotSet { return d.latReg.Merge() 
 // ring fed by watchdog escalations and streak recoveries. Never nil.
 func (d *Deque) Flight() *obs.Flight { return d.flight }
 
-// opStart opens a single operation: it notes the op identity for the
+// opStart opens a single operation or a whole batch call: it notes the op identity for the
 // flight recorder (two plain stores on the handle's own lines) and
 // decrements the latency sampler's countdown (Config.LatSample). The
 // countdown is parked at MaxUint64 when latency recording is off, so an
@@ -78,16 +78,6 @@ func (d *Deque) opStartSlow(h *Handle) {
 	h.sampleAt = time.Now()
 }
 
-// latNow returns the current time when latency recording is on — the
-// always-record variant used by batch ops and other amortized or rare
-// paths where sampling would only hide the tail.
-func (d *Deque) latNow() (t time.Time) {
-	if obs.Enabled && d.latSample != 0 {
-		t = time.Now()
-	}
-	return
-}
-
 // opEnd closes a single operation: a no-op (inlined to one register test)
 // unless opStart sampled it. Every return path of a single op must pass
 // opStart's answer here.
@@ -103,13 +93,12 @@ func (d *Deque) opEndSlow(h *Handle, op obs.Op, side obs.Side) {
 	h.lat.Record(obs.LatClassOf(op, side), uint64(time.Since(h.sampleAt)))
 }
 
-// latEndAt records the elapsed time since t into class c — the closing
-// half of latNow. A zero start (recording off) returns immediately.
-func (d *Deque) latEndAt(h *Handle, c obs.LatClass, t time.Time) {
-	if !obs.Enabled || t.IsZero() {
-		return
+// batchEnd closes a batch call opened with opStart: a sampled call records
+// its whole duration into class c (batch_push or batch_pop).
+func (d *Deque) batchEnd(sampled bool, h *Handle, c obs.LatClass) {
+	if sampled {
+		h.lat.Record(c, uint64(time.Since(h.sampleAt)))
 	}
-	h.lat.Record(c, uint64(time.Since(t)))
 }
 
 // flightEscalate writes a watchdog-escalation record: the op in distress,

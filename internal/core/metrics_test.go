@@ -243,16 +243,20 @@ func TestMetricsMergeConsistentAcrossChurn(t *testing.T) {
 	}
 }
 
-// TestLatencySampleCadence pins the single-op latency sampler: one
-// countdown per handle spans pushes and pops alike, so every LatSample-th
-// op lands in its class's histogram, and a negative rate records nothing.
+// TestLatencySampleCadence pins the latency sampler: one countdown per
+// handle spans single pushes, single pops and whole batch calls alike, so
+// every LatSample-th call lands in its class's histogram, a batch call is
+// one tick, and a negative rate records nothing. The calls run in four
+// blocks — 40 PushLeft, 20 PushLeftN, 40 PopRight, 20 PopRightN — so at
+// rate 3 the batch blocks start mid-interval and only a shared countdown
+// gives 13/7/13/7.
 func TestLatencySampleCadence(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("latency recording is compiled out (obsoff)")
 	}
 	for _, tc := range []struct {
-		sample, want int
-	}{{4, 10}, {1, 40}, {-1, 0}} {
+		sample, single, batch int
+	}{{4, 10, 5}, {3, 13, 7}, {1, 40, 20}, {-1, 0, 0}} {
 		d := New(Config{NodeSize: 8, MaxThreads: 2, LatSample: tc.sample})
 		h := d.Register()
 		for i := 0; i < 40; i++ {
@@ -260,33 +264,40 @@ func TestLatencySampleCadence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		for i := 0; i < 20; i++ {
+			if _, err := d.PushLeftN(h, []uint32{1, 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for i := 0; i < 40; i++ {
 			d.PopRight(h)
 		}
+		dst := make([]uint32, 2)
+		for i := 0; i < 20; i++ {
+			if n := d.PopRightN(h, dst); n != 2 {
+				t.Fatalf("PopRightN = %d, want 2", n)
+			}
+		}
 		set := d.LatencySnapshot()
-		for _, c := range []obs.LatClass{obs.LatPushLeft, obs.LatPopRight} {
-			if got := set.Classes[c].Count; got != uint64(tc.want) {
-				t.Errorf("LatSample %d: %v count = %d, want %d", tc.sample, c, got, tc.want)
+		for _, c := range []struct {
+			class obs.LatClass
+			want  int
+		}{
+			{obs.LatPushLeft, tc.single}, {obs.LatPopRight, tc.single},
+			{obs.LatBatchPush, tc.batch}, {obs.LatBatchPop, tc.batch},
+		} {
+			if got := set.Classes[c.class].Count; got != uint64(c.want) {
+				t.Errorf("LatSample %d: %v count = %d, want %d", tc.sample, c.class, got, c.want)
 			}
 		}
 	}
 }
 
-// TestWatchdogThresholdConfig checks the configured threshold reaches the
-// watchdog and Metrics.
+// TestWatchdogThresholdConfig checks the watchdog threshold reaches
+// Metrics.
 func TestWatchdogThresholdConfig(t *testing.T) {
 	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2})
 	if got := d.Metrics().WatchdogThreshold; got != DefaultWatchdogThreshold {
 		t.Fatalf("default WatchdogThreshold = %d, want %d", got, DefaultWatchdogThreshold)
 	}
-	d = New(Config{NodeSize: MinNodeSize, MaxThreads: 2, WatchdogThreshold: 32})
-	if got := d.Metrics().WatchdogThreshold; got != 32 {
-		t.Fatalf("WatchdogThreshold = %d, want 32", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative WatchdogThreshold did not panic")
-		}
-	}()
-	New(Config{NodeSize: MinNodeSize, MaxThreads: 2, WatchdogThreshold: -1})
 }

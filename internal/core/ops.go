@@ -14,13 +14,13 @@ import (
 // left.go and right.go exactly as the paper states them.
 //
 //   - Push/Pop are the retry loops. Each holds, once, the steps every op
-//     shares: the reserved check, the reclamation unpin, the sampled
-//     trace/latency token, the abort checks, the attempt (the seeded
-//     oracle, the side's transitions and the edge-cache bookkeeping),
-//     allocation failure and the livelock watchdog. The plain ops pass a
-//     nil *Bound; the Ctx and Try ops pass their limits; a batch run's
-//     head (batch.go) passes a head Bound, which skips the per-op steps a
-//     batch does once for itself.
+//     shares: the reserved check, the sampled latency countdown, the
+//     abort checks, the attempt (the seeded oracle, the side's
+//     transitions and the edge-cache bookkeeping), allocation failure and
+//     the livelock watchdog. The plain ops pass a nil *Bound; the Ctx and
+//     Try ops pass their limits; a batch run's head (batch.go) passes a
+//     head Bound, which skips the per-op steps a batch does once for
+//     itself.
 //   - pushElim/popElim are the Fig. 13 elimination-wrapped loops, taken by
 //     the plain ops on an elimination deque.
 //
@@ -58,7 +58,6 @@ func (d *Deque) Push(h *Handle, s obs.Side, v uint32, b *Bound) error {
 	if word.IsReserved(v) {
 		return ErrReserved
 	}
-	defer h.unpinOp(b)
 	var sampled bool
 	if !b.isHead() {
 		sampled = d.opStart(h, obs.OpPush, s)
@@ -113,7 +112,6 @@ func (d *Deque) Push(h *Handle, s obs.Side, v uint32, b *Bound) error {
 // Pop is the one pop loop, Push's counterpart; ok is false when the deque
 // was empty and is meaningful only when err is nil.
 func (d *Deque) Pop(h *Handle, s obs.Side, b *Bound) (v uint32, ok bool, err error) {
-	defer h.unpinOp(b)
 	var sampled bool
 	if !b.isHead() {
 		sampled = d.opStart(h, obs.OpPop, s)
@@ -172,7 +170,6 @@ func (d *Deque) pushElim(h *Handle, s obs.Side, a *elim.Array, v uint32) error {
 	}
 	a.Insert(h.tid, elim.Push, v)
 	for {
-		h.repin()
 		edge, idx, hintW := d.sideOracle(h, s)
 		if _, eliminated := a.Remove(h.tid); eliminated {
 			h.noteElim(elim.Push)
@@ -207,7 +204,6 @@ func (d *Deque) popElim(h *Handle, s obs.Side, a *elim.Array) (uint32, bool) {
 	}
 	a.Insert(h.tid, elim.Pop, 0)
 	for {
-		h.repin()
 		edge, idx, hintW := d.sideOracle(h, s)
 		if v, eliminated := a.Remove(h.tid); eliminated {
 			h.noteElim(elim.Pop)

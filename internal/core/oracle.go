@@ -180,7 +180,6 @@ func (w *wedgeCheck) restart(d *Deque, side string, hintW uint64, start *node) {
 // reports whether the answer came from the cache; it feeds EdgeCacheHits on
 // completion.
 func (d *Deque) lOracleSeeded(h *Handle) (edge *node, idx int, hintW uint64, cached bool) {
-	h.repin()
 	// guardNode both validates the cached node is still registered and, in
 	// hazard mode, re-advertises it first — so a scan between operations
 	// cannot recycle the node after this validation passes.
@@ -323,7 +322,6 @@ func (d *Deque) rOracle(h *Handle, rec *obs.Rec) (*node, int, uint64) {
 
 // rOracleSeeded mirrors lOracleSeeded for the right edge.
 func (d *Deque) rOracleSeeded(h *Handle) (edge *node, idx int, hintW uint64, cached bool) {
-	h.repin()
 	if c := h.edgeR; c != nil &&
 		h.idxR >= 0 && h.idxR <= d.sz-2 && d.guardNode(h, c) &&
 		!chaos.Visit(chaos.EdgeCache) {

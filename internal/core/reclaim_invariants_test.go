@@ -12,7 +12,7 @@ import (
 // statistically through the conformance battery.
 
 // I0: a retired node is unresolvable the instant the retire guard is won —
-// before its key reaches a grace domain, before any advance or scan. Stale
+// before its key reaches the hazard domain, before any scan. Stale
 // hints and IDs must not be able to acquire a reference to a node whose
 // grace period is running.
 func TestRetireClearsRegistryImmediately(t *testing.T) {
@@ -21,7 +21,6 @@ func TestRetireClearsRegistryImmediately(t *testing.T) {
 		reclaim ReclaimPolicy
 	}{
 		{"hazard", ReclaimHazard},
-		{"epoch", ReclaimEpoch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
@@ -74,7 +73,7 @@ func TestReclaimNoneRetireExactlyOnce(t *testing.T) {
 // succeed after it.
 func TestReinitCountersDefeatCrossLifeCAS(t *testing.T) {
 	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-		Reclaim: ReclaimEpoch, PoolNodes: 4})
+		Reclaim: ReclaimHazard, PoolNodes: 4})
 	h := d.Register()
 	edge, _, _ := d.lOracle(h, h.rec)
 	old := make([]uint64, d.sz)
@@ -121,7 +120,7 @@ func TestHazardGuardsAdvertiseReads(t *testing.T) {
 
 // Drain must release cached spares in every policy: under ReclaimNone a
 // stranded spare would otherwise permanently shrink the MaxLiveNodes budget;
-// under a recycling policy it should return to the pool.
+// under recycling it should return to the pool.
 func TestDrainReleasesCachedSpares(t *testing.T) {
 	t.Run("none", func(t *testing.T) {
 		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, MaxLiveNodes: 4})
@@ -143,9 +142,9 @@ func TestDrainReleasesCachedSpares(t *testing.T) {
 			t.Fatal("released spare still registered")
 		}
 	})
-	t.Run("epoch", func(t *testing.T) {
+	t.Run("hazard", func(t *testing.T) {
 		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-			Reclaim: ReclaimEpoch, PoolNodes: 4})
+			Reclaim: ReclaimHazard, PoolNodes: 4})
 		h := d.Register()
 		edge, _, _ := d.lOracle(h, h.rec)
 		if _, ok := h.spareLeft(5, edge); !ok {

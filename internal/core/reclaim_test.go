@@ -7,7 +7,7 @@ import (
 	"repro/internal/dequetest"
 )
 
-// Conformance over the recycling configurations: tiny nodes cross node
+// Conformance over the recycling configuration: tiny nodes cross node
 // boundaries constantly and a tiny pool forces immediate reuse, so the
 // battery's linearizability trials run with maximum ABA-resurrection
 // pressure (invariants I1-I4 in reclaim.go are what they exercise).
@@ -19,21 +19,14 @@ func TestConformanceReclaimHazard(t *testing.T) {
 	})
 }
 
-func TestConformanceReclaimEpoch(t *testing.T) {
-	dequetest.RunAll(t, func() dequetest.Instance {
-		return inst{New(Config{NodeSize: MinNodeSize, MaxThreads: 32,
-			Reclaim: ReclaimEpoch, PoolNodes: 4})}
-	})
-}
-
-func TestLinearizabilityReclaimEpochTinyPool(t *testing.T) {
+func TestLinearizabilityReclaimHazardTinyPool(t *testing.T) {
 	trials := 200
 	if testing.Short() {
 		trials = 60
 	}
 	dequetest.RunLinearizability(t, func() dequetest.Instance {
 		return inst{New(Config{NodeSize: MinNodeSize, MaxThreads: 32,
-			Reclaim: ReclaimEpoch, PoolNodes: 2})}
+			Reclaim: ReclaimHazard, PoolNodes: 2})}
 	}, trials)
 }
 
@@ -57,7 +50,6 @@ func TestRecyclingRoundTrip(t *testing.T) {
 		reclaim ReclaimPolicy
 	}{
 		{"hazard", ReclaimHazard},
-		{"epoch", ReclaimEpoch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
@@ -88,9 +80,9 @@ func TestRecyclingRoundTrip(t *testing.T) {
 				t.Fatalf("PendingRetires = %d after Drain", h.PendingRetires())
 			}
 			// The steady-state queue pattern needs only a handful of live
-			// nodes plus reclamation slack — the pool (8) and, in epoch
-			// mode, up to two advance intervals of limbo (2x32) — nowhere
-			// near the ~2000 nodes the pattern churned through.
+			// nodes plus reclamation slack — the pool (8) and one scan
+			// threshold of pending retires — nowhere near the ~2000 nodes
+			// the pattern churned through.
 			if ms.LiveNodes > ms.HighWater || ms.HighWater > 128 {
 				t.Fatalf("live=%d highwater=%d: recycling failed to bound footprint",
 					ms.LiveNodes, ms.HighWater)
@@ -100,11 +92,11 @@ func TestRecyclingRoundTrip(t *testing.T) {
 }
 
 func TestPendingRetiresVisibleBeforeDrain(t *testing.T) {
-	// Epoch mode with a single participant: retires sit in limbo until
-	// advances push the global epoch past them, so shortly after churn the
-	// handle must report pending work, and Drain must clear it.
+	// A single participant: retires sit on the handle's hazard list until
+	// it reaches the scan threshold, so shortly after churn the handle must
+	// report pending work, and Drain must clear it.
 	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-		Reclaim: ReclaimEpoch, PoolNodes: 8})
+		Reclaim: ReclaimHazard, PoolNodes: 8})
 	h := d.Register()
 	churnNodes(d, h, 40)
 	if h.PendingRetires() == 0 {
@@ -123,7 +115,6 @@ func TestMaxLiveNodesErrFull(t *testing.T) {
 	}{
 		{"none", ReclaimNone},
 		{"hazard", ReclaimHazard},
-		{"epoch", ReclaimEpoch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const limit = 6
@@ -178,7 +169,7 @@ func TestMemoryLimitSustainedChurn(t *testing.T) {
 		opsPer  = 5000
 	)
 	d := New(Config{NodeSize: MinNodeSize, MaxThreads: workers + 1,
-		Reclaim: ReclaimEpoch, PoolNodes: limit, MaxLiveNodes: limit})
+		Reclaim: ReclaimHazard, PoolNodes: limit, MaxLiveNodes: limit})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

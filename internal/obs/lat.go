@@ -19,12 +19,12 @@ import (
 // Cost model: a handle records into a lazily-allocated per-class bucket
 // block it alone writes (see lat_on.go for the single-writer argument;
 // lat_race.go for the atomic variant -race builds substitute), and the
-// single-op hot paths only record a sampled subset of operations
-// (Config.LatSample, default 1 in 1024) so the two clock reads per sample
-// stay inside the <=2% A/B budget even on machines where a clock read
-// costs as much as a deque op (scripts/verify.sh's obs A/B). Batch ops,
-// steal sweeps, and server frames record always: they are rare or
-// amortized, and their tails are the point. The obsoff build
+// core op paths — single ops and whole batch calls, on one countdown —
+// only record a sampled subset (Config.LatSample, default 1 in 1024) so
+// the two clock reads per sample stay inside the <=2% A/B budget even on
+// machines where a clock read costs as much as a deque op
+// (scripts/verify.sh's obs A/B). Steal sweeps record always: they are
+// rare, and their tail is the point. The obsoff build
 // compiles the recorder to a zero-size no-op.
 
 // LatClass names one recorded operation class.
@@ -37,7 +37,8 @@ const (
 	LatPopLeft
 	LatPopRight
 	// LatBatchPush/LatBatchPop are whole PushN/PopN calls, either side
-	// (always recorded; duration covers the whole batch).
+	// (sampled on the single ops' countdown; duration covers the whole
+	// batch).
 	LatBatchPush
 	LatBatchPop
 	// LatPoolOp is one pool-level operation: routing decision + shard op +

@@ -181,8 +181,8 @@ type Metrics struct {
 	ElimPops        uint64 `json:"elim_pops"`
 	ElimMisses      uint64 `json:"elim_misses"`
 
-	// WatchdogThreshold is the effective livelock-watchdog streak length
-	// (gauge; the WithWatchdogThreshold option or its default).
+	// WatchdogThreshold is the livelock-watchdog streak length (gauge; the
+	// fixed core.DefaultWatchdogThreshold).
 	WatchdogThreshold uint64 `json:"watchdog_threshold,omitempty"`
 
 	// Handles is the number of handles ever registered (dropped handles

@@ -120,15 +120,11 @@ func TestWriteMetricsProm(t *testing.T) {
 	}
 }
 
-// TestWatchdogThresholdInMetrics pins the effective watchdog threshold
-// gauge: the default and an explicit WithWatchdogThreshold both surface.
+// TestWatchdogThresholdInMetrics pins the watchdog threshold gauge at its
+// one value.
 func TestWatchdogThresholdInMetrics(t *testing.T) {
 	d := New[int]()
 	if got := d.Metrics().WatchdogThreshold; got != 256 {
 		t.Fatalf("default WatchdogThreshold gauge = %d, want 256", got)
-	}
-	d = New[int](WithWatchdogThreshold(64))
-	if got := d.Metrics().WatchdogThreshold; got != 64 {
-		t.Fatalf("WatchdogThreshold gauge = %d, want 64", got)
 	}
 }

@@ -26,8 +26,6 @@ func TestBadOptionsRejected(t *testing.T) {
 		{"capacity negative", []Option{WithCapacity(-1)}},
 		{"capacity 2^32", []Option{WithCapacity(int(wide))}},
 		{"capacity 2^32+1", []Option{WithCapacity(int(wide + 1))}},
-		{"watchdog zero", []Option{WithWatchdogThreshold(0)}},
-		{"watchdog negative", []Option{WithWatchdogThreshold(-256)}},
 		{"bad among good", []Option{WithNodeSize(64), WithMaxThreads(0), WithElimination(true)}},
 	}
 	for _, tc := range cases {
@@ -73,12 +71,9 @@ func TestGoodOptionsAccepted(t *testing.T) {
 		{"minimum node size", []Option{WithNodeSize(4)}},
 		{"one thread", []Option{WithMaxThreads(1)}},
 		{"capacity one", []Option{WithCapacity(1)}},
-		{"watchdog custom", []Option{WithWatchdogThreshold(64)}},
-		{"low watchdog", []Option{WithWatchdogThreshold(8)}},
 		{"kitchen sink", []Option{
 			WithNodeSize(64), WithMaxThreads(8), WithCapacity(1 << 10),
 			WithElimination(true),
-			WithWatchdogThreshold(128),
 		}},
 	}
 	for _, tc := range cases {

@@ -19,7 +19,6 @@ func TestParseReclamation(t *testing.T) {
 	}{
 		{"gc", ReclaimGC}, {"none", ReclaimGC},
 		{"hazard", ReclaimHazard}, {"hp", ReclaimHazard},
-		{"epoch", ReclaimEpoch}, {"ebr", ReclaimEpoch},
 	}
 	for _, tc := range cases {
 		got, err := ParseReclamation(tc.in)
@@ -27,7 +26,7 @@ func TestParseReclamation(t *testing.T) {
 			t.Errorf("ParseReclamation(%q) = (%v, %v), want %v", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "GC", "hazard ", "generational"} {
+	for _, bad := range []string{"", "GC", "hazard ", "generational", "epoch", "ebr"} {
 		if _, err := ParseReclamation(bad); !errors.Is(err, ErrBadOption) {
 			t.Errorf("ParseReclamation(%q) err = %v, want ErrBadOption", bad, err)
 		}
@@ -40,6 +39,7 @@ func TestReclaimOptionsRejected(t *testing.T) {
 		opts []Option
 	}{
 		{"undefined policy", []Option{WithReclamation(Reclamation(42))}},
+		{"first undefined policy", []Option{WithReclamation(ReclaimHazard + 1)}},
 		{"negative policy", []Option{WithReclamation(Reclamation(-1))}},
 		{"pool zero", []Option{WithPoolNodes(0)}},
 		{"pool negative", []Option{WithPoolNodes(-4)}},
@@ -63,7 +63,6 @@ func TestRecyclingThroughGenericAPI(t *testing.T) {
 		r    Reclamation
 	}{
 		{"hazard", ReclaimHazard},
-		{"epoch", ReclaimEpoch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := New[int](WithNodeSize(4), WithReclamation(tc.r), WithPoolNodes(8))
@@ -76,7 +75,7 @@ func TestRecyclingThroughGenericAPI(t *testing.T) {
 					t.Fatalf("pop %d = (%d, %v)", i, v, ok)
 				}
 			}
-			h.Flush() // drains pending retires through the grace domain
+			h.Flush() // drains pending retires through the hazard domain
 			m := d.Metrics()
 			if m.NodesRetired == 0 || m.NodesRecycled == 0 {
 				t.Fatalf("retired=%d recycled=%d: node recycling not engaged",
@@ -93,7 +92,7 @@ func TestRecyclingThroughGenericAPI(t *testing.T) {
 func TestMemoryLimitErrFullAndRecovery(t *testing.T) {
 	// Budget exactly 6 nodes at node size 4.
 	const nodes = 6
-	d := NewUint32(WithNodeSize(4), WithReclamation(ReclaimEpoch),
+	d := NewUint32(WithNodeSize(4), WithReclamation(ReclaimHazard),
 		WithPoolNodes(4), WithMemoryLimit(nodes*core.NodeFootprint(4)))
 	h := d.Register()
 	if m := d.Metrics(); m.MemLimitNodes != nodes {
@@ -133,7 +132,7 @@ func TestMemoryLimitErrFullAndRecovery(t *testing.T) {
 
 // TestRecyclingSteadyStateAllocs is the node-recycling allocation gate: the
 // mixed 4-way single-handle workload on 16-slot nodes crosses a node
-// boundary every few operations, and the recycling policies must serve
+// boundary every few operations, and the recycling policy must serve
 // that churn from the pool instead of the heap. The 0.018 allocs/op
 // ceiling is about half of what the non-recycling gc policy measures
 // (~0.037), so the test fails if recycling stops working.
@@ -145,7 +144,7 @@ func TestRecyclingSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		rec  Reclamation
-	}{{"hazard", ReclaimHazard}, {"epoch", ReclaimEpoch}} {
+	}{{"hazard", ReclaimHazard}} {
 		t.Run(c.name, func(t *testing.T) {
 			d := New[uint32](WithNodeSize(16), WithReclamation(c.rec), WithPoolNodes(65536))
 			h := d.Register()
