@@ -36,7 +36,6 @@ func main() {
 		steal    = flag.Bool("steal", true, "steal-on-empty rebalancing across shards")
 		capacity = flag.Int("capacity", 0, "per-shard value capacity (0 = default)")
 		maxconns = flag.Int("maxconns", 64, "concurrent connection cap (pool handles are pooled up to this)")
-		reclaim  = flag.String("reclaim", "gc", "node reclamation: gc or hazard (hazard recycles removed nodes)")
 		memlimit = flag.Int64("memlimit", 0, "per-shard node-memory cap in bytes (0 = unbounded); exceeding pushes get STATUS_FULL")
 		relaxed  = flag.Bool("relaxed", false, "serve through the semantically-relaxed d-choice front-end (keys ignored; ordering relaxed across shards)")
 		dFlag    = flag.Int("d", 2, "relaxed sample width: shards sampled per op (0 = strict passthrough; needs -relaxed)")
@@ -49,17 +48,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dequed:", err)
 		os.Exit(2)
 	}
-	rpol, err := dq.ParseReclamation(*reclaim)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dequed:", err)
-		os.Exit(2)
-	}
 	var shardOpts []dq.Option
 	if *capacity > 0 {
 		shardOpts = append(shardOpts, dq.WithCapacity(*capacity))
-	}
-	if rpol != dq.ReclaimGC {
-		shardOpts = append(shardOpts, dq.WithReclamation(rpol))
 	}
 	if *memlimit > 0 {
 		shardOpts = append(shardOpts, dq.WithMemoryLimit(*memlimit))

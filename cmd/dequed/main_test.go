@@ -522,7 +522,6 @@ func TestMemoryLimitStatusFull(t *testing.T) {
 		Shards: 1, Route: dq.RouteRoundRobin, Steal: false, MaxConns: 4,
 		ShardOpts: []dq.Option{
 			dq.WithNodeSize(4),
-			dq.WithReclamation(dq.ReclaimHazard),
 			dq.WithMemoryLimit(8 * core.NodeFootprint(4)),
 		},
 	})

@@ -42,21 +42,12 @@ func main() {
 		choice   = flag.Int("choice", 2, "d-choice width: bands sampled inside the inversion window per pop")
 		capacity = flag.Int("capacity", 0, "per-band job capacity (0 = default); full bands shed with STATUS_FULL")
 		maxconns = flag.Int("maxconns", 64, "concurrent connection cap (DEPQ handles are pooled up to this)")
-		reclaim  = flag.String("reclaim", "gc", "node reclamation: gc or hazard (hazard recycles removed nodes)")
 	)
 	flag.Parse()
 
-	rpol, err := dq.ParseReclamation(*reclaim)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedd:", err)
-		os.Exit(2)
-	}
 	var shardOpts []dq.Option
 	if *capacity > 0 {
 		shardOpts = append(shardOpts, dq.WithCapacity(*capacity))
-	}
-	if rpol != dq.ReclaimGC {
-		shardOpts = append(shardOpts, dq.WithReclamation(rpol))
 	}
 	srv, err := NewServer(Config{
 		Bands:     *bands,

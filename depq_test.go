@@ -157,99 +157,92 @@ func TestDEPQFullUndoesReservation(t *testing.T) {
 
 // TestDEPQConservationConcurrent pushes a tagged value set from many
 // goroutines with mixed priorities and pops from both ends, checking
-// conservation (every value exactly once) and the inversion bound with and
-// without node recycling — the -race pass covers the band stamp protocol's
+// conservation (every value exactly once) and the inversion bound while
+// removed nodes recycle — the -race pass covers the band stamp protocol's
 // interplay with hazard reclamation.
 func TestDEPQConservationConcurrent(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		rec  Reclamation
-	}{{"gc", ReclaimGC}, {"hazard", ReclaimHazard}} {
-		rec := c.rec
-		t.Run(c.name, func(t *testing.T) {
-			const (
-				bands   = 8
-				bound   = 2
-				workers = 4
-				perW    = 2000
+	t.Run("hazard", func(t *testing.T) {
+		const (
+			bands   = 8
+			bound   = 2
+			workers = 4
+			perW    = 2000
+		)
+		q := NewDEPQ[int](WithBands(bands), WithBandBound(bound),
+			WithDEPQPool(WithShardOptions(
+				WithMaxThreads(2*workers+1),
+			)))
+		var wg sync.WaitGroup
+		seen := make([]int32, workers*perW)
+		var mu sync.Mutex
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				h := q.Register()
+				for i := 0; i < perW; i++ {
+					v := w*perW + i
+					if err := h.Push(v, v%bands); err != nil {
+						t.Error(err)
+						return
+					}
+					if i%3 == 0 {
+						// Alternate ends: half the poppers serve urgency,
+						// half shed.
+						var (
+							u  int
+							ok bool
+						)
+						if i%6 == 0 {
+							u, _, ok = h.PopMin()
+						} else {
+							u, _, ok = h.PopMax()
+						}
+						if ok {
+							mu.Lock()
+							seen[u]++
+							mu.Unlock()
+						}
+					}
+				}
+				h.Flush()
+			}(w)
+		}
+		wg.Wait()
+		// Drain the remainder single-threaded, alternating ends.
+		h := q.Register()
+		for i := 0; ; i++ {
+			var (
+				v  int
+				ok bool
 			)
-			q := NewDEPQ[int](WithBands(bands), WithBandBound(bound),
-				WithDEPQPool(WithShardOptions(
-					WithMaxThreads(2*workers+1),
-					WithReclamation(rec),
-				)))
-			var wg sync.WaitGroup
-			seen := make([]int32, workers*perW)
-			var mu sync.Mutex
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := q.Register()
-					for i := 0; i < perW; i++ {
-						v := w*perW + i
-						if err := h.Push(v, v%bands); err != nil {
-							t.Error(err)
-							return
-						}
-						if i%3 == 0 {
-							// Alternate ends: half the poppers serve urgency,
-							// half shed.
-							var (
-								u  int
-								ok bool
-							)
-							if i%6 == 0 {
-								u, _, ok = h.PopMin()
-							} else {
-								u, _, ok = h.PopMax()
-							}
-							if ok {
-								mu.Lock()
-								seen[u]++
-								mu.Unlock()
-							}
-						}
-					}
-					h.Flush()
-				}(w)
+			if i%2 == 0 {
+				v, _, ok = h.PopMin()
+			} else {
+				v, _, ok = h.PopMax()
 			}
-			wg.Wait()
-			// Drain the remainder single-threaded, alternating ends.
-			h := q.Register()
-			for i := 0; ; i++ {
-				var (
-					v  int
-					ok bool
-				)
-				if i%2 == 0 {
-					v, _, ok = h.PopMin()
-				} else {
-					v, _, ok = h.PopMax()
+			if !ok {
+				if _, _, ok := h.PopMin(); ok {
+					t.Fatal("one end certified empty while the other still held work")
 				}
-				if !ok {
-					if _, _, ok := h.PopMin(); ok {
-						t.Fatal("one end certified empty while the other still held work")
-					}
-					break
-				}
-				seen[v]++
+				break
 			}
-			for v, n := range seen {
-				if n != 1 {
-					t.Fatalf("value %d popped %d times, want exactly once", v, n)
-				}
+			seen[v]++
+		}
+		for v, n := range seen {
+			if n != 1 {
+				t.Fatalf("value %d popped %d times, want exactly once", v, n)
 			}
-			if q.LenExact() != 0 || q.Len() != 0 {
-				t.Fatalf("DEPQ not empty after drain: exact=%d est=%d", q.LenExact(), q.Len())
+		}
+		if q.LenExact() != 0 || q.Len() != 0 {
+			t.Fatalf("DEPQ not empty after drain: exact=%d est=%d", q.LenExact(), q.Len())
+		}
+		if MetricsEnabled {
+			if m := q.DepqMetrics(); m.InvMax > bound {
+				t.Fatalf("estimator max %d exceeds bound %d", m.InvMax, bound)
 			}
-			if MetricsEnabled {
-				if m := q.DepqMetrics(); m.InvMax > bound {
-					t.Fatalf("estimator max %d exceeds bound %d", m.InvMax, bound)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestDEPQSequentialInversionBound checks the estimator's ground truth

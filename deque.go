@@ -31,7 +31,6 @@ package deque
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/arena"
 	"repro/internal/core"
@@ -51,10 +50,6 @@ type options struct {
 	capacitySet   bool
 	registryLimit int
 	registrySet   bool
-	reclaim       Reclamation
-	reclaimSet    bool
-	poolNodes     int
-	poolNodesSet  bool
 	memLimit      int64
 	memLimitSet   bool
 	latSample     int
@@ -95,59 +90,17 @@ func WithCapacity(n int) Option {
 	return func(o *options) { o.capacity, o.capacitySet = n, true }
 }
 
-// WithRegistryLimit bounds the lifetime number of internal node
-// allocations (default 1<<26). Node IDs are never reused — removal is what
-// makes them ABA-safe — so this caps a deque's total append capacity over
-// its whole life: once spent, pushes needing a fresh node return ErrFull
-// forever, while pops and pushes into existing slots keep working. Set it
-// to bound worst-case memory in long-lived services; the limit must be
-// positive or New rejects it with ErrBadOption.
+// WithRegistryLimit bounds the number of internal node IDs the deque may
+// ever allocate (default 1<<26). A removed node keeps its ID and comes back
+// through the recycling pool, so steady churn reuses IDs instead of
+// spending them; only fresh allocations (the pool was empty) take a new
+// one, and nodes the full pool turns away take theirs with them. Once the
+// IDs are spent, pushes that need a node and find the pool empty return
+// ErrFull, while pops, pushes into existing slots and pushes served from
+// the pool keep working. The limit must be positive or New rejects it with
+// ErrBadOption.
 func WithRegistryLimit(n int) Option {
 	return func(o *options) { o.registryLimit, o.registrySet = n, true }
-}
-
-// Reclamation selects how the deque reclaims the internal nodes it removes
-// from its chain; see WithReclamation.
-type Reclamation int
-
-const (
-	// ReclaimGC leaves removed nodes to the garbage collector (the
-	// default, and the historical behavior): node IDs are never reused and
-	// every removal allocates a replacement eventually. Simplest, but
-	// sustained churn allocates one node per node's worth of traffic.
-	ReclaimGC Reclamation = iota
-	// ReclaimHazard retires removed nodes through a hazard-pointer domain,
-	// the paper's scheme, and recycles them via a bounded per-deque pool:
-	// steady-state churn reuses nodes instead of allocating. The amortized
-	// scan allocates a small snapshot per sweep.
-	ReclaimHazard
-)
-
-// ParseReclamation maps the flag spellings "gc" and "hazard" to a
-// Reclamation, wrapping ErrBadOption on unknown input.
-func ParseReclamation(s string) (Reclamation, error) {
-	switch s {
-	case "gc", "none":
-		return ReclaimGC, nil
-	case "hazard", "hp":
-		return ReclaimHazard, nil
-	}
-	return 0, fmt.Errorf("%w: unknown reclamation policy %q (want gc or hazard)", ErrBadOption, s)
-}
-
-// WithReclamation selects the node-reclamation policy (default ReclaimGC).
-// ReclaimHazard bounds steady-state allocation by reusing removed nodes
-// through an internal pool; see DESIGN.md §10 for the safety argument.
-func WithReclamation(r Reclamation) Option {
-	return func(o *options) { o.reclaim, o.reclaimSet = r, true }
-}
-
-// WithPoolNodes bounds the recycling pool of a WithReclamation deque
-// (default core.DefaultPoolNodes, currently 32): at most n removed nodes
-// are retained for reuse, the rest go to the garbage collector. Ignored
-// under ReclaimGC; must be positive or New rejects it with ErrBadOption.
-func WithPoolNodes(n int) Option {
-	return func(o *options) { o.poolNodes, o.poolNodesSet = n, true }
 }
 
 // WithMemoryLimit caps the node-structure memory the deque may retain, in
@@ -213,7 +166,6 @@ func (o options) coreConfig() core.Config {
 		MaxThreads:    o.maxThreads,
 		Elimination:   o.elimination,
 		RegistryLimit: uint32(o.registryLimit),
-		PoolNodes:     o.poolNodes,
 	}
 	if o.latSampleSet {
 		if o.latSample == 0 {
@@ -221,9 +173,6 @@ func (o options) coreConfig() core.Config {
 		} else {
 			cfg.LatSample = o.latSample
 		}
-	}
-	if o.reclaim == ReclaimHazard {
-		cfg.Reclaim = core.ReclaimHazard
 	}
 	if o.memLimitSet {
 		b := o.nodeBudget()
@@ -634,12 +583,11 @@ func (h *Uint32Handle) PopLeftN(dst []uint32) int { return h.d.core.PopLeftN(h.h
 // values, dst[n:] is untouched (see PopLeftN for the full contract).
 func (h *Uint32Handle) PopRightN(dst []uint32) int { return h.d.core.PopRightN(h.h, dst) }
 
-// Flush drains this handle's deferred node-reclamation work: it withdraws
-// the handle's hazard pointers and frees its pending retires. Call it
-// before parking a handle for a long time — an idle handle otherwise keeps
-// its pending retires out of the recycling pool. The handle remains
-// usable; under ReclaimGC it only releases the handle's cached spare
-// nodes.
+// Flush drains this handle's deferred node-reclamation work: it returns
+// the handle's cached spare nodes to the pool, withdraws its hazard
+// pointers and frees its pending retires. Call it before parking a handle
+// for a long time — an idle handle otherwise keeps its pending retires out
+// of the recycling pool. The handle remains usable.
 func (h *Uint32Handle) Flush() { h.h.Drain() }
 
 // Eliminated reports how many of this handle's operations completed via

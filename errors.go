@@ -45,8 +45,10 @@ import (
 // ErrFull reports that a push hit a capacity limit. It has three sources:
 // the value slab of a Deque[T] is full (WithCapacity), the node structures
 // retained reach the memory bound (WithMemoryLimit), or the internal node
-// registry's ID space is spent (WithRegistryLimit). The message is the
-// same for all three. The failed push had no effect.
+// registry's ID space is spent and the recycling pool is empty
+// (WithRegistryLimit). The message is the same for all three. The failed
+// push had no effect, and pops can make room: removed nodes return to the
+// pool with their IDs.
 var ErrFull = core.ErrFull
 
 // ErrContended reports that a bounded Try* operation exhausted its attempt
@@ -85,12 +87,6 @@ func (o options) validate() error {
 	}
 	if o.latSampleSet && o.latSample < 0 {
 		return fmt.Errorf("%w: WithLatencySample(%d) must be non-negative", ErrBadOption, o.latSample)
-	}
-	if o.reclaimSet && (o.reclaim < ReclaimGC || o.reclaim > ReclaimHazard) {
-		return fmt.Errorf("%w: WithReclamation(%d) is not a defined policy", ErrBadOption, o.reclaim)
-	}
-	if o.poolNodesSet && o.poolNodes <= 0 {
-		return fmt.Errorf("%w: WithPoolNodes(%d) must be positive", ErrBadOption, o.poolNodes)
 	}
 	if o.memLimitSet && o.nodeBudget() < 2 {
 		return fmt.Errorf("%w: WithMemoryLimit(%d) admits fewer than 2 nodes of %d bytes each",

@@ -4,10 +4,10 @@
 //   - Registry[T]: maps dense 32-bit IDs to *T. The paper stores 32-bit node
 //     pointers inside link slots; in Go we store 32-bit node IDs and resolve
 //     them here. IDs are allocated monotonically and an ID is never issued to
-//     a second object: without recycling an ID is simply never reused, and
-//     with recycling (NodePool + Reinstall) an ID stays bound to the same
-//     node for the registry's lifetime — either way a slot counter plus that
-//     binding rules out cross-object ABA. Clearing an entry (after the
+//     a second object: a recycled node (NodePool + Reinstall) keeps its ID
+//     for the registry's lifetime, and the ID of a node that is dropped is
+//     never used again — either way a slot counter plus that binding rules
+//     out cross-object ABA. Clearing an entry (after the
 //     reclamation domain says no reader can still need it) releases the node
 //     to the pool or the garbage collector; a stale ID then resolves to nil,
 //     which readers treat as "hint went stale, retry".
@@ -29,8 +29,9 @@ import (
 )
 
 // ErrRegistryFull reports that every ID the registry will ever issue has
-// been allocated. IDs are never recycled, so — unlike ErrSlabFull — this
-// condition is permanent for the registry's lifetime.
+// been allocated. The registry never re-issues an ID, so — unlike
+// ErrSlabFull — this condition is permanent for the registry's lifetime;
+// callers that recycle objects with their IDs can keep going.
 var ErrRegistryFull = errors.New("arena: registry ID space exhausted")
 
 // Registry chunk geometry: 8192 entries per chunk keeps each chunk at 64 KiB

@@ -34,65 +34,58 @@ func forcedLivelockPop() *chaos.Schedule {
 		chaos.Rule{FailEvery: 1})
 }
 
-// TestCtxCancelUnderForcedLivelock runs under each reclamation policy: a
-// cancelled op must also leave the recycling state (hazard slots, retired
-// nodes) exactly as an op that never ran.
+// TestCtxCancelUnderForcedLivelock: a cancelled op must also leave the
+// recycling state (hazard slots, retired nodes) exactly as an op that never
+// ran.
 func TestCtxCancelUnderForcedLivelock(t *testing.T) {
-	for _, rc := range []struct {
-		name string
-		p    core.ReclaimPolicy
-	}{{"gc", core.ReclaimNone}, {"hazard", core.ReclaimHazard}} {
-		t.Run(rc.name, func(t *testing.T) {
-			d := core.New(core.Config{NodeSize: core.MinNodeSize, MaxThreads: 2, Reclaim: rc.p})
-			h := d.Register()
-			if err := d.PushLeft(h, 7); err != nil { // seed so pops engage L2, not empty checks
-				t.Fatalf("seed push: %v", err)
-			}
+	d := core.New(core.Config{NodeSize: core.MinNodeSize, MaxThreads: 2})
+	h := d.Register()
+	if err := d.PushLeft(h, 7); err != nil { // seed so pops engage L2, not empty checks
+		t.Fatalf("seed push: %v", err)
+	}
 
-			// Push side: deadline fires mid-livelock.
-			chaos.Arm(forcedLivelockPush())
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			err := d.PushLeftCtx(ctx, h, 9)
-			cancel()
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("PushLeftCtx under forced livelock = %v, want DeadlineExceeded", err)
-			}
-			// Pre-cancelled context aborts before the first attempt, even mid-chaos.
-			done, cancel2 := context.WithCancel(context.Background())
-			cancel2()
-			if err := d.PushRightCtx(done, h, 9); !errors.Is(err, context.Canceled) {
-				t.Fatalf("PushRightCtx with cancelled ctx = %v, want Canceled", err)
-			}
-			chaos.Disarm()
-			if got := d.Len(); got != 1 {
-				t.Fatalf("Len = %d after aborted pushes, want 1 (cancellation must be exact)", got)
-			}
+	// Push side: deadline fires mid-livelock.
+	chaos.Arm(forcedLivelockPush())
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	err := d.PushLeftCtx(ctx, h, 9)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("PushLeftCtx under forced livelock = %v, want DeadlineExceeded", err)
+	}
+	// Pre-cancelled context aborts before the first attempt, even mid-chaos.
+	done, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	if err := d.PushRightCtx(done, h, 9); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PushRightCtx with cancelled ctx = %v, want Canceled", err)
+	}
+	chaos.Disarm()
+	if got := d.Len(); got != 1 {
+		t.Fatalf("Len = %d after aborted pushes, want 1 (cancellation must be exact)", got)
+	}
 
-			// Pop side.
-			chaos.Arm(forcedLivelockPop())
-			ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
-			_, _, err = d.PopLeftCtx(ctx, h)
-			cancel()
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("PopLeftCtx under forced livelock = %v, want DeadlineExceeded", err)
-			}
-			if _, _, err := d.PopRightCtx(done, h); !errors.Is(err, context.Canceled) {
-				t.Fatalf("PopRightCtx with cancelled ctx = %v, want Canceled", err)
-			}
-			chaos.Disarm()
-			if got := d.Len(); got != 1 {
-				t.Fatalf("Len = %d after aborted pops, want 1 (cancellation must be exact)", got)
-			}
+	// Pop side.
+	chaos.Arm(forcedLivelockPop())
+	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_, _, err = d.PopLeftCtx(ctx, h)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("PopLeftCtx under forced livelock = %v, want DeadlineExceeded", err)
+	}
+	if _, _, err := d.PopRightCtx(done, h); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PopRightCtx with cancelled ctx = %v, want Canceled", err)
+	}
+	chaos.Disarm()
+	if got := d.Len(); got != 1 {
+		t.Fatalf("Len = %d after aborted pops, want 1 (cancellation must be exact)", got)
+	}
 
-			// The aborts left the deque intact: the seeded value is still there.
-			v, ok := d.PopLeft(h)
-			if !ok || v != 7 {
-				t.Fatalf("PopLeft after aborts = (%d, %v), want (7, true)", v, ok)
-			}
-			if got := d.Len(); got != 0 {
-				t.Fatalf("Len = %d after drain, want 0", got)
-			}
-		})
+	// The aborts left the deque intact: the seeded value is still there.
+	v, ok := d.PopLeft(h)
+	if !ok || v != 7 {
+		t.Fatalf("PopLeft after aborts = (%d, %v), want (7, true)", v, ok)
+	}
+	if got := d.Len(); got != 0 {
+		t.Fatalf("Len = %d after drain, want 0", got)
 	}
 }
 

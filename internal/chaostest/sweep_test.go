@@ -175,30 +175,20 @@ func TestSeededSweepCoverage(t *testing.T) {
 			h := d.Register()
 			g := dq.New[int](dq.WithNodeSize(8))
 			gh := g.Register()
-			// Recycling deque: its node churn flows through the Retire
-			// hand-off and PoolGet reuse points.
-			dr := core.New(core.Config{NodeSize: core.MinNodeSize, MaxThreads: 4,
-				Reclaim: core.ReclaimHazard, PoolNodes: 8})
-			hr := dr.Register()
 
 			s := failEverywhere(seed)
 			chaos.Arm(s)
 			defer chaos.Disarm()
 
-			// Core driver: all transition, empty-check, hint, oracle, cache,
-			// and registry-allocation points.
+			// Core driver: all transition, empty-check, hint, oracle, cache
+			// and registry-allocation points, and the reclamation layer's:
+			// forced Retire failures defer batches and forced PoolGet
+			// failures miss the pool — both degrade to fresh allocation or
+			// later reclamation, never to lost values.
 			driveAllStates(t, d, h, 40)
+			h.Drain()
 			if err := d.CheckInvariant(); err != nil {
 				t.Fatalf("invariant after sweep: %v", err)
-			}
-
-			// Reclamation layer: forced Retire failures defer batches and
-			// forced PoolGet failures miss the pool — both degrade to fresh
-			// allocation or later reclamation, never to lost values.
-			driveAllStates(t, dr, hr, 40)
-			hr.Drain()
-			if err := dr.CheckInvariant(); err != nil {
-				t.Fatalf("invariant after recycling sweep: %v", err)
 			}
 
 			// Generic layer: the slab-allocation point. Forced SlabAlloc

@@ -34,20 +34,16 @@
 //
 // The paper retires removed nodes to thread-local lists and frees them under
 // hazard-pointer protection. This port keeps the paper's 32-bit node IDs in
-// the link slots, resolved through a monotonic ID registry
-// (internal/arena.Registry). IDs are never reused, so resolution is always
-// either correct or nil — ABA is structurally impossible. The remove
-// transition clears the node's registry entry on the spot: stalled threads
-// that already resolved the node keep traversing it safely (the garbage
-// collector cannot free memory they reference, and removed nodes always
-// link inward toward nodes removed no earlier, the paper's own invariant),
-// while threads holding only the stale ID get nil and restart from the
-// global hint, whose node is carried as a real pointer and therefore always
-// resolves. With the recycling policy (Config.Reclaim), removed nodes instead
-// return to a bounded pool once no hazard pointer names them — the paper's
-// own scheme — and the entry-cleared-at-retire rule is what keeps stale
-// IDs from ever reaching a node whose grace clock is running; reclaim.go
-// states the invariants (I0-I4) that make same-ID reuse safe.
+// the link slots, resolved through an ID registry (internal/arena.Registry).
+// The remove transition clears the node's registry entry on the spot:
+// threads holding only the stale ID get nil and restart from the global
+// hint, whose node is carried as a real pointer and therefore always
+// resolves, while stalled threads that already hold the node follow its
+// escape pointer back to the chain. Removed nodes then return, keeping their
+// IDs, to a bounded pool once no hazard pointer names them — the paper's own
+// scheme. The entry-cleared-at-retire rule is what keeps stale IDs from ever
+// reaching a node whose grace clock is running; reclaim.go states the
+// invariants (I0-I4) that make same-ID reuse safe.
 //
 // # Elimination
 //
@@ -78,10 +74,10 @@ import (
 var ErrReserved = errors.New("core: value is reserved")
 
 // ErrFull is returned by pushes that hit a capacity limit. In this package
-// that is a node append refused by the registry's ID space
-// (Config.RegistryLimit; IDs are never recycled, so the deque can no
-// longer grow past its current chain) or by the live-node bound
-// (Config.MaxLiveNodes; pops and reclamation make room again); the public
+// that is a node append the pool cannot serve and the registry's ID space
+// (Config.RegistryLimit) or the live-node bound (Config.MaxLiveNodes)
+// refuses; pops and reclamation make room again, because removed nodes
+// return to the pool with their IDs. The public
 // Deque[T] also returns it when its value slab is full. Pops and interior
 // pushes keep working either way. Callers that want to bound growth should
 // treat ErrFull as a backpressure signal, not a fatal fault.
@@ -105,9 +101,9 @@ const (
 	MinNodeSize = 4
 	// DefaultMaxThreads sizes the elimination arrays.
 	DefaultMaxThreads = 256
-	// DefaultRegistryLimit bounds lifetime node allocations (IDs are never
-	// recycled). At the default node size this is tens of billions of
-	// boundary-crossing pushes.
+	// DefaultRegistryLimit bounds the node IDs a deque may ever allocate.
+	// Recycled nodes keep their IDs, so only fresh allocations (the pool
+	// was empty) and nodes the full pool turned away spend them.
 	DefaultRegistryLimit = 1 << 26
 	// DefaultWatchdogThreshold is the consecutive-failure streak that trips
 	// the livelock watchdog. At the default backoff bounds a streak this
@@ -164,13 +160,9 @@ type Config struct {
 	// observability budget; the obsoff build compiles recording away
 	// entirely.
 	LatSample int
-	// Reclaim selects the node-reclamation policy: ReclaimNone (clear on
-	// removal, GC frees — the historical behavior) or ReclaimHazard, which
-	// retires removed nodes through a hazard-pointer domain into a bounded
-	// recycling pool (see reclaim.go).
-	Reclaim ReclaimPolicy
-	// PoolNodes bounds the recycling pool (default DefaultPoolNodes);
-	// ignored when Reclaim is ReclaimNone.
+	// PoolNodes bounds the pool that recycles removed nodes once the
+	// hazard-pointer domain frees them (default DefaultPoolNodes; see
+	// reclaim.go).
 	PoolNodes int
 	// MaxLiveNodes caps the number of node structures this deque may retain
 	// at once — chained, awaiting grace, and pooled together. A push that
@@ -237,14 +229,12 @@ type Deque struct {
 
 	nextTID atomic.Int32
 
-	// Reclamation state (reclaim.go). hazDom, pool and limbo are non-nil
-	// iff Config.Reclaim selects recycling. limbo parks retired nodes —
-	// whose registry entries are cleared at retire time (invariant I0) —
-	// until the hazard domain frees their keys and the pool takes them
-	// back. memNodes is the
-	// node-memory account: +1 per fresh node allocation, -1 when a node
-	// leaves for the GC (removal under ReclaimNone, pool overflow after
-	// grace, or a drained spare the pool would not retain).
+	// Reclamation state (reclaim.go). limbo parks retired nodes — whose
+	// registry entries are cleared at retire time (invariant I0) — until
+	// the hazard domain frees their keys and the pool takes them back.
+	// memNodes is the node-memory account: +1 per fresh node allocation,
+	// -1 when a node leaves for the GC (pool overflow after grace, or a
+	// drained spare the pool would not retain).
 	hazDom *hazard.Domain
 	pool   *arena.NodePool[node]
 	limbo  *arena.IDMap[node]
@@ -266,9 +256,9 @@ type node struct {
 	id    uint32
 	slots []atomic.Uint64
 	// retired is the exactly-once guard for handing this node to the
-	// reclamation domain (recycling modes only): CASed 0→1 by the
-	// unregister walk that retires it, reset to 0 when the grace period
-	// expires and the node is recycled. Ensures overlapping walks can never
+	// reclamation domain: CASed 0→1 by the unregister walk that retires
+	// it, reset to 0 when the grace period expires and the node is
+	// recycled. Ensures overlapping walks can never
 	// double-pool a node.
 	retired atomic.Uint32
 	// escape is set by the remover just before the node's registry entry
@@ -376,18 +366,15 @@ func (d *Deque) newNode(split int) *node {
 }
 
 // newNodeTry is newNode reporting exhaustion as ErrFull instead of
-// panicking — the push paths' graceful-degradation route. With a recycling
-// policy it tries the node pool first; a pooled node is reinitialized with
-// counter-preserving writes and returned with fromPool=true, telling the
-// caller it must Reinstall the registry entry after the link CAS commits
-// (reclaim.go invariant I2). Fresh nodes are installed here, as always, and
+// panicking — the push paths' graceful-degradation route. It tries the node
+// pool first; a pooled node is reinitialized with counter-preserving writes
+// and returned with fromPool=true, telling the caller it must Reinstall the
+// registry entry after the link CAS commits (reclaim.go invariant I2). Fresh nodes are installed here, as always, and
 // charged against Config.MaxLiveNodes.
 func (d *Deque) newNodeTry(split int) (n *node, fromPool bool, err error) {
-	if d.pool != nil {
-		if n := d.pool.Get(); n != nil {
-			d.reinitNode(n, split)
-			return n, true, nil
-		}
+	if n := d.pool.Get(); n != nil {
+		d.reinitNode(n, split)
+		return n, true, nil
 	}
 	if !d.accountFresh() {
 		return nil, false, ErrFull
@@ -442,11 +429,10 @@ func (d *Deque) resolve(id uint32) *node { return d.reg.Get(id) }
 // stay pinned. Every node unregistered gets its escape pointer aimed at the
 // surviving edge first, so stranded traversals always have a way back to
 // the chain. Each node's registry entry is cleared on the spot (reclaim.go
-// invariant I0); under a recycling policy the IDs are additionally batched
-// on the handle and only handed to the grace domain after the walk — the
-// walk keeps reading the chain's link slots, and a retire that triggered an
-// eager scan could otherwise recycle a node out from under it (invariant
-// I4). The walk needs no hazard guard of its own: the sealed chain is
+// invariant I0), and the IDs are batched on the handle and only handed to
+// the grace domain after the walk — the walk keeps reading the chain's link
+// slots, and a retire that triggered an eager scan could otherwise recycle
+// a node out from under it (invariant I4). The walk needs no hazard guard of its own: the sealed chain is
 // reachable only through the removal the caller just won, and each node's
 // slots are read before the walk marks it retired — an unretired node can
 // never be freed.
@@ -567,10 +553,9 @@ type Handle struct {
 	Retries       uint64
 	EdgeCacheHits uint64
 
-	// hp is this handle's hazard-domain participant, nil under
-	// ReclaimNone. retireBatch stages removed-node keys during an
-	// unregister walk until flushRetires hands them to the domain
-	// (reclaim.go).
+	// hp is this handle's hazard-domain participant. retireBatch stages
+	// removed-node keys during an unregister walk until flushRetires hands
+	// them to the domain (reclaim.go).
 	hp          *hazard.Participant
 	retireBatch []uint64
 
@@ -732,8 +717,6 @@ func (d *Deque) Register() *Handle {
 		h.opTick = uint64(d.latSample)
 	}
 	h.bo.Init(backoff.DefaultMinSpins, backoff.DefaultMaxSpins, uint64(tid)*0x9e3779b97f4a7c15+1)
-	if d.hazDom != nil {
-		h.hp = d.hazDom.Register()
-	}
+	h.hp = d.hazDom.Register()
 	return h
 }

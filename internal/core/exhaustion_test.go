@@ -6,12 +6,14 @@ import (
 )
 
 // These tests pin the node-registry exhaustion contract at the core level:
-// when the lifetime ID space (Config.RegistryLimit) runs out, pushes that
-// need a fresh node degrade to a typed ErrFull — no panic, nothing pushed —
-// while every operation not needing an allocation (pops, and pushes into
-// existing slots) keeps working. Registry exhaustion is permanent by design:
-// IDs are never recycled (node removal is what makes them ABA-safe), so a
-// drained deque regains slot space but never append capacity.
+// when the ID space (Config.RegistryLimit) runs out, pushes that need a
+// fresh node degrade to a typed ErrFull — no panic, nothing pushed — while
+// every operation not needing an allocation (pops, pushes into existing
+// slots, and appends the node pool can serve) keeps working. A removed node
+// keeps its ID and comes back through the pool, so a drained deque regains
+// slot space and as much append capacity as the pool took back; only a
+// stream that keeps removing nodes as it appends them runs indefinitely on a
+// spent registry.
 
 func TestRegistryExhaustionGraceful(t *testing.T) {
 	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, RegistryLimit: 1})
@@ -85,9 +87,9 @@ func TestRegistryExhaustionGraceful(t *testing.T) {
 		t.Fatal("extra value after drain")
 	}
 
-	// Drained: slot space in the surviving node is usable again, but append
-	// capacity is gone for good — pushes work until the next node boundary,
-	// then ErrFull returns. The drain parks the free span at one end of the
+	// Drained: slot space in the surviving node is usable again, and append
+	// capacity is what the pool took back from the drain — pushes work
+	// until the pool runs dry, then ErrFull returns. The drain parks the free span at one end of the
 	// surviving node, so one side can push allocation-free and the other
 	// may immediately need an append; accept either side.
 	push, pop := d.PushLeft, d.PopLeft
@@ -150,5 +152,33 @@ func TestBatchPushRegistryPrefix(t *testing.T) {
 	}
 	if _, ok := d.PopLeft(h); ok {
 		t.Fatal("value beyond the reported prefix")
+	}
+}
+
+// TestQueueStreamOutlivesRegistry pins ID reuse: a queue-pattern stream
+// (push left, pop right) on the smallest nodes crosses a node boundary
+// every other value, so a deque that spent a fresh ID per node would
+// exhaust the smallest registry (one chunk, 8192 IDs) after about 16k
+// values. Removed nodes come back through the pool with their IDs, so the
+// stream runs on a handful of them for a million values.
+func TestQueueStreamOutlivesRegistry(t *testing.T) {
+	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, RegistryLimit: 1})
+	h := d.Register()
+	const pairs = 1 << 20
+	for i := 0; i < pairs; i++ {
+		if err := d.PushLeft(h, uint32(i)&0xFFFFFF); err != nil {
+			t.Fatalf("push %d: %v (IDs allocated %d of %d)",
+				i, err, d.reg.Allocated(), d.reg.Limit())
+		}
+		if v, ok := d.PopRight(h); !ok || v != uint32(i)&0xFFFFFF {
+			t.Fatalf("pop %d = (%d, %v)", i, v, ok)
+		}
+	}
+	if ms := d.MemStats(); ms.Recycled == 0 {
+		t.Fatal("no node came back through the pool")
+	}
+	if got, limit := d.reg.Allocated(), d.reg.Limit(); got > limit/16 {
+		t.Fatalf("%d node IDs allocated for %d values, want far below the limit %d",
+			got, pairs, limit)
 	}
 }

@@ -26,16 +26,14 @@ func (d *Deque) Metrics() obs.Metrics {
 	m.NodesFreed = uint64(d.reg.Freed())
 	m.NodesLive = m.NodesAllocated - m.NodesFreed
 	m.NodeLimit = uint64(d.reg.Limit())
-	if d.cfg.recycling() {
-		ms := d.MemStats()
-		m.MemNodesLive = uint64(ms.LiveNodes)
-		m.MemNodesHighWater = uint64(ms.HighWater)
-		m.MemLimitNodes = uint64(ms.LimitNodes)
-		m.NodesRetired = ms.Retired
-		m.NodesRecycled = ms.Recycled
-		m.NodesLimbo = ms.Retired - ms.Freed
-		m.NodesPooled = uint64(ms.Pooled)
-	}
+	ms := d.MemStats()
+	m.MemNodesLive = uint64(ms.LiveNodes)
+	m.MemNodesHighWater = uint64(ms.HighWater)
+	m.MemLimitNodes = uint64(ms.LimitNodes)
+	m.NodesRetired = ms.Retired
+	m.NodesRecycled = ms.Recycled
+	m.NodesLimbo = ms.Retired - ms.Freed
+	m.NodesPooled = uint64(ms.Pooled)
 	m.Latency = d.latReg.Merge().Summaries()
 	m.FlightRecords = d.flight.Total()
 	return m

@@ -16,10 +16,10 @@ import (
 //
 // # Why recycling is safe (DESIGN.md §10 carries the full argument)
 //
-// Without recycling, safety is structural: IDs are never reused, so a stale
-// ID resolves to nil and a stale pointer leads to a node whose slots never
-// change again. Recycling re-arms both hazards, and five invariants disarm
-// them:
+// If removed nodes were never reused, safety would be structural: a stale
+// ID would resolve to nil and a stale pointer would lead to a node whose
+// slots never change again. Recycling re-arms both hazards, and five
+// invariants disarm them:
 //
 //  I0  Retired means unresolvable. markRetired clears the node's registry
 //      entry the moment the retire guard is won — before the key reaches the
@@ -64,8 +64,7 @@ import (
 //      it is an ordinary guarded oracle walk, so it reads slots only of
 //      nodes it has guarded — by I0 never one whose grace period is
 //      running — and it leaves the retired chain through escapes alone.
-//      An atomic once-guard on the node makes retire exactly-once across
-//      every policy, including ReclaimNone.
+//      An atomic once-guard on the node makes retire exactly-once.
 //
 // # Reader participation
 //
@@ -84,32 +83,11 @@ import (
 // of labor with the GC's role taken over by counters, the limbo table, and
 // deferred install.
 
-// ReclaimPolicy selects how removed nodes are reclaimed and whether they are
-// recycled through the bounded node pool.
-type ReclaimPolicy uint8
-
-const (
-	// ReclaimNone is the historical behavior: a removed node's registry
-	// entry is cleared on the spot and the node is left to the garbage
-	// collector. No pool, no grace machinery, no recycling.
-	ReclaimNone ReclaimPolicy = iota
-	// ReclaimHazard retires removed nodes through an internal/hazard
-	// domain: an amortized scan releases unadvertised IDs to the node pool.
-	// Oracle walks and edge-cache validation advertise the nodes they read
-	// (guardNode/guardNeighbor), so a scan never recycles a node out from
-	// under a reader.
-	ReclaimHazard
-)
-
-// DefaultPoolNodes bounds the node pool when a recycling policy is selected
-// and Config.PoolNodes is zero. Steady-state churn alternates between a
-// handful of nodes per side; 32 retains enough to absorb bursts from many
-// handles while capping retained slack at ~32 node footprints.
+// DefaultPoolNodes bounds the node pool when Config.PoolNodes is zero.
+// Steady-state churn alternates between a handful of nodes per side; 32
+// retains enough to absorb bursts from many handles while capping retained
+// slack at ~32 node footprints.
 const DefaultPoolNodes = 32
-
-// recycling reports whether cfg retires nodes through the hazard domain
-// into the pool.
-func (c Config) recycling() bool { return c.Reclaim != ReclaimNone }
 
 // NodeFootprint returns the approximate heap bytes one node with sz slots
 // retains: the node header (including its cache-line spacers) plus the slot
@@ -123,9 +101,6 @@ func NodeFootprint(sz int) int64 {
 // limbo table, and the hazard domain. Called from New after cfg is
 // defaulted.
 func (d *Deque) initReclaim() {
-	if !d.cfg.recycling() {
-		return
-	}
 	d.hazDom = hazard.NewDomain(d.cfg.MaxThreads, d.freeNode)
 	cap := d.cfg.PoolNodes
 	if cap == 0 {
@@ -141,22 +116,21 @@ func retireKey(id uint32) uint64 { return uint64(id) + 1 }
 func keyToID(key uint64) uint32  { return uint32(key - 1) }
 
 // guardNode makes nd safe to read for the rest of the current operation
-// attempt, advertising it in the handle's primary hazard slot (hazard mode)
-// and validating that it is still registered. A false return means nd is
+// attempt, advertising it in the handle's primary hazard slot and
+// validating that it is still registered. A false return means nd is
 // retired (or a half-prepared spare): the caller must not read its slots —
 // only its escape pointer (invariant I3).
 //
 // Soundness of the protect-then-validate order is invariant I0's job: the
 // registry entry is cleared no later than the retire hand-off, so a non-nil
 // entry observed after the Protect store proves the advertisement precedes
-// every scan snapshot that could free the node. In ReclaimNone unregistered
-// nodes are frozen and the check merely classifies them as escape-only.
-// Advertisements outlive the operation: the next operation's guards
-// overwrite them, which keeps the edge cache's node safe from recycling
-// between operations at no cost; Drain withdraws them. h may be nil
-// (diagnostic walks), which skips the advertisement.
+// every scan snapshot that could free the node. Advertisements outlive the
+// operation: the next operation's guards overwrite them, which keeps the
+// edge cache's node safe from recycling between operations at no cost;
+// Drain withdraws them. h may be nil (diagnostic walks), which skips the
+// advertisement.
 func (d *Deque) guardNode(h *Handle, nd *node) bool {
-	if h != nil && h.hp != nil {
+	if h != nil {
 		h.hp.Protect(0, retireKey(nd.id))
 	}
 	return d.resolve(nd.id) == nd
@@ -166,18 +140,16 @@ func (d *Deque) guardNode(h *Handle, nd *node) bool {
 // straddle neighbor), using the participant's second hazard slot so the edge
 // node's advertisement stays in place.
 func (d *Deque) guardNeighbor(h *Handle, nd *node) bool {
-	if h != nil && h.hp != nil {
+	if h != nil {
 		h.hp.Protect(1, retireKey(nd.id))
 	}
 	return d.resolve(nd.id) == nd
 }
 
 // markRetired records one removed node during an unregister walk. The atomic
-// once-guard makes a node's retire exactly-once across every policy, so
-// overlapping walks can neither double-count the memory account
-// (ReclaimNone) nor double-pool a node (recycling). The winner clears the
-// registry entry on the spot — invariant I0: from here on no stale ID can
-// acquire the node — and either leaves the node to the GC (ReclaimNone) or
+// once-guard makes a node's retire exactly-once, so overlapping walks can
+// never double-pool a node. The winner clears the registry entry on the
+// spot — invariant I0: from here on no stale ID can acquire the node — and
 // parks it in limbo and on the handle's retire batch; the walk must finish
 // reading the sealed chain before any ID reaches the domain (invariant I4).
 func (d *Deque) markRetired(h *Handle, n *node) {
@@ -196,10 +168,6 @@ func (d *Deque) markRetired(h *Handle, n *node) {
 		return
 	}
 	d.reg.Clear(n.id)
-	if !d.cfg.recycling() {
-		d.memNodes.Add(-1)
-		return
-	}
 	d.nodesRetired.Add(1)
 	if !d.limbo.Put(n.id, n) {
 		// Unreachable under the once-guard: an ID is in limbo only between
@@ -231,11 +199,11 @@ func (d *Deque) flushRetires(h *Handle) {
 // on — so the node may be physically reused. The registry entry
 // was already cleared at retire (invariant I0); here the node leaves limbo
 // and recycles through the pool. On pool overflow it goes to the GC and
-// leaves the memory account.
+// leaves the memory account, and its ID is spent for good.
 func (d *Deque) freeNode(key uint64) {
 	d.nodesFreed.Add(1)
 	n := d.limbo.Take(keyToID(key))
-	if n != nil && d.pool != nil && d.pool.Put(n) {
+	if n != nil && d.pool.Put(n) {
 		return
 	}
 	d.memNodes.Add(-1)
@@ -332,23 +300,19 @@ type MemStats struct {
 // MemStats returns the node-memory account. Safe to call concurrently with
 // operations.
 func (d *Deque) MemStats() MemStats {
-	s := MemStats{
+	return MemStats{
 		LiveNodes:  d.memNodes.Load(),
 		HighWater:  d.memHighWater.Load(),
 		LimitNodes: d.cfg.MaxLiveNodes,
 		Retired:    d.nodesRetired.Load(),
 		Freed:      d.nodesFreed.Load(),
+		Recycled:   d.pool.Recycled(),
+		Pooled:     d.pool.Len(),
 	}
-	if d.pool != nil {
-		s.Recycled = d.pool.Recycled()
-		s.Pooled = d.pool.Len()
-	}
-	return s
 }
 
-// releaseSpare uncharges one cached spare node: back to the pool when a
-// recycling policy retains one, otherwise to the GC with the memory account
-// decremented. A fresh spare was registered at allocation and must leave the
+// releaseSpare uncharges one cached spare node: back to the pool when it
+// has room, otherwise to the GC with the memory account decremented. A fresh spare was registered at allocation and must leave the
 // registry first — pooled nodes keep nil entries until their next install
 // (invariant I2); a pool-origin spare's entry is already nil.
 func (h *Handle) releaseSpare(n *node, fromPool bool) {
@@ -356,7 +320,7 @@ func (h *Handle) releaseSpare(n *node, fromPool bool) {
 	if !fromPool {
 		d.reg.Clear(n.id)
 	}
-	if d.pool != nil && d.pool.Put(n) {
+	if d.pool.Put(n) {
 		return
 	}
 	d.memNodes.Add(-1)
@@ -383,9 +347,6 @@ func (h *Handle) Drain() {
 		h.spareRInstall = false
 		h.releaseSpare(n, fromPool)
 	}
-	if !h.d.cfg.recycling() {
-		return
-	}
 	// Push batched retires even under a chaos schedule: Drain is the
 	// explicit "get it all out" call.
 	for _, key := range h.retireBatch {
@@ -402,9 +363,5 @@ func (h *Handle) Drain() {
 // PendingRetires returns the number of this handle's retired-but-not-freed
 // nodes (batch + domain pending list). Diagnostics and tests.
 func (h *Handle) PendingRetires() int {
-	n := len(h.retireBatch)
-	if h.hp != nil {
-		n += h.hp.Pending()
-	}
-	return n
+	return len(h.retireBatch) + h.hp.Pending()
 }

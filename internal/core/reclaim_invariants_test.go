@@ -16,55 +16,57 @@ import (
 // hints and IDs must not be able to acquire a reference to a node whose
 // grace period is running.
 func TestRetireClearsRegistryImmediately(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		reclaim ReclaimPolicy
-	}{
-		{"hazard", ReclaimHazard},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-				Reclaim: tc.reclaim, PoolNodes: 4})
-			h := d.Register()
-			edge, _, _ := d.lOracle(h, h.rec)
-			if !d.guardNode(h, edge) {
-				t.Fatal("live edge failed guard validation")
-			}
-			d.markRetired(h, edge)
-			if d.resolve(edge.id) != nil {
-				t.Fatal("retired node still resolvable before grace expiry")
-			}
-			if d.guardNode(h, edge) {
-				t.Fatal("guard validated a retired node")
-			}
-			// The node parks in limbo so freeNode can recover the pointer.
-			if d.limbo.Get(edge.id) != edge {
-				t.Fatal("retired node missing from limbo")
-			}
-			// The once-guard makes retire idempotent across racing walks.
-			before := d.nodesRetired.Load()
-			d.markRetired(h, edge)
-			if got := d.nodesRetired.Load(); got != before {
-				t.Fatalf("double retire counted twice: %d -> %d", before, got)
-			}
-		})
-	}
+	t.Run("hazard", func(t *testing.T) {
+		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4})
+		h := d.Register()
+		edge, _, _ := d.lOracle(h, h.rec)
+		if !d.guardNode(h, edge) {
+			t.Fatal("live edge failed guard validation")
+		}
+		d.markRetired(h, edge)
+		if d.resolve(edge.id) != nil {
+			t.Fatal("retired node still resolvable before grace expiry")
+		}
+		if d.guardNode(h, edge) {
+			t.Fatal("guard validated a retired node")
+		}
+		// The node parks in limbo so freeNode can recover the pointer.
+		if d.limbo.Get(edge.id) != edge {
+			t.Fatal("retired node missing from limbo")
+		}
+		// The once-guard makes retire idempotent across racing walks.
+		before := d.nodesRetired.Load()
+		d.markRetired(h, edge)
+		if got := d.nodesRetired.Load(); got != before {
+			t.Fatalf("double retire counted twice: %d -> %d", before, got)
+		}
+	})
 }
 
-// ReclaimNone shares the once-guard: overlapping unregister walks must
-// decrement the memory account exactly once per node.
-func TestReclaimNoneRetireExactlyOnce(t *testing.T) {
-	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2})
+// The once-guard carries through the whole lifecycle: two overlapping
+// unregister walks retiring one node must hand it to the domain once, free
+// it once and pool it once — a double pool would hand one node to two
+// appenders.
+func TestRetireExactlyOnce(t *testing.T) {
+	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4})
 	h := d.Register()
 	edge, _, _ := d.lOracle(h, h.rec)
-	live := d.MemStats().LiveNodes
+	live, pooled := d.MemStats().LiveNodes, d.MemStats().Pooled
 	d.markRetired(h, edge)
 	d.markRetired(h, edge)
-	if got := d.MemStats().LiveNodes; got != live-1 {
-		t.Fatalf("LiveNodes %d -> %d; want exactly one decrement", live, got)
+	h.Drain()
+	ms := d.MemStats()
+	if ms.Retired != 1 || ms.Freed != 1 {
+		t.Fatalf("retired %d, freed %d; want exactly one each", ms.Retired, ms.Freed)
+	}
+	if ms.Pooled != pooled+1 {
+		t.Fatalf("pool %d -> %d; want the node pooled exactly once", pooled, ms.Pooled)
+	}
+	if ms.LiveNodes != live {
+		t.Fatalf("LiveNodes %d -> %d; a pooled node stays charged", live, ms.LiveNodes)
 	}
 	if d.resolve(edge.id) != nil {
-		t.Fatal("retired node still resolvable under ReclaimNone")
+		t.Fatal("pooled node still resolvable")
 	}
 }
 
@@ -72,8 +74,7 @@ func TestReclaimNoneRetireExactlyOnce(t *testing.T) {
 // life, so a CAS armed with a word copied before the recycle can never
 // succeed after it.
 func TestReinitCountersDefeatCrossLifeCAS(t *testing.T) {
-	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-		Reclaim: ReclaimHazard, PoolNodes: 4})
+	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4})
 	h := d.Register()
 	edge, _, _ := d.lOracle(h, h.rec)
 	old := make([]uint64, d.sz)
@@ -93,12 +94,11 @@ func TestReinitCountersDefeatCrossLifeCAS(t *testing.T) {
 	}
 }
 
-// Hazard mode is only sound if readers advertise what they read: after any
+// Recycling is only sound if readers advertise what they read: after any
 // operation the participant's slots must hold the nodes its edge cache
 // relies on, and Drain must withdraw them so a parked handle pins nothing.
 func TestHazardGuardsAdvertiseReads(t *testing.T) {
-	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-		Reclaim: ReclaimHazard, PoolNodes: 4})
+	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4})
 	h := d.Register()
 	if err := d.PushLeft(h, 1); err != nil {
 		t.Fatal(err)
@@ -118,18 +118,28 @@ func TestHazardGuardsAdvertiseReads(t *testing.T) {
 	}
 }
 
-// Drain must release cached spares in every policy: under ReclaimNone a
-// stranded spare would otherwise permanently shrink the MaxLiveNodes budget;
-// under recycling it should return to the pool.
+// Drain must release cached spares: a spare returns to the pool, and when
+// the pool is full it leaves the memory account — a stranded spare would
+// otherwise permanently shrink the MaxLiveNodes budget.
 func TestDrainReleasesCachedSpares(t *testing.T) {
-	t.Run("none", func(t *testing.T) {
-		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, MaxLiveNodes: 4})
+	t.Run("pool_full", func(t *testing.T) {
+		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 1, MaxLiveNodes: 4})
 		h := d.Register()
 		edge, _, _ := d.lOracle(h, h.rec)
 		if _, ok := h.spareLeft(5, edge); !ok {
 			t.Fatal("spare allocation failed")
 		}
 		sp := h.spareL
+		// Fill the one-node pool the way freeNode would: a fresh node
+		// leaves the registry and parks in the pool.
+		filler, fromPool, err := d.newNodeTry(2)
+		if err != nil || fromPool {
+			t.Fatalf("filler allocation = (%v, %v)", fromPool, err)
+		}
+		d.reg.Clear(filler.id)
+		if !d.pool.Put(filler) {
+			t.Fatal("empty pool refused the filler")
+		}
 		live := d.MemStats().LiveNodes
 		h.Drain()
 		if h.spareL != nil {
@@ -138,13 +148,15 @@ func TestDrainReleasesCachedSpares(t *testing.T) {
 		if got := d.MemStats().LiveNodes; got != live-1 {
 			t.Fatalf("LiveNodes %d -> %d: stranded spare still charged", live, got)
 		}
+		if got := d.MemStats().Pooled; got != 1 {
+			t.Fatalf("pool holds %d nodes past its capacity of 1", got)
+		}
 		if d.resolve(sp.id) != nil {
 			t.Fatal("released spare still registered")
 		}
 	})
 	t.Run("hazard", func(t *testing.T) {
-		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-			Reclaim: ReclaimHazard, PoolNodes: 4})
+		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4})
 		h := d.Register()
 		edge, _, _ := d.lOracle(h, h.rec)
 		if _, ok := h.spareLeft(5, edge); !ok {

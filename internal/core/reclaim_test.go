@@ -14,8 +14,7 @@ import (
 
 func TestConformanceReclaimHazard(t *testing.T) {
 	dequetest.RunAll(t, func() dequetest.Instance {
-		return inst{New(Config{NodeSize: MinNodeSize, MaxThreads: 32,
-			Reclaim: ReclaimHazard, PoolNodes: 4})}
+		return inst{New(Config{NodeSize: MinNodeSize, MaxThreads: 32, PoolNodes: 4})}
 	})
 }
 
@@ -25,8 +24,7 @@ func TestLinearizabilityReclaimHazardTinyPool(t *testing.T) {
 		trials = 60
 	}
 	dequetest.RunLinearizability(t, func() dequetest.Instance {
-		return inst{New(Config{NodeSize: MinNodeSize, MaxThreads: 32,
-			Reclaim: ReclaimHazard, PoolNodes: 2})}
+		return inst{New(Config{NodeSize: MinNodeSize, MaxThreads: 32, PoolNodes: 2})}
 	}, trials)
 }
 
@@ -45,58 +43,49 @@ func churnNodes(d *Deque, h *Handle, ops int) {
 }
 
 func TestRecyclingRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		reclaim ReclaimPolicy
-	}{
-		{"hazard", ReclaimHazard},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-				Reclaim: tc.reclaim, PoolNodes: 8})
-			h := d.Register()
-			churnNodes(d, h, 4000)
-			h.Drain()
-			ms := d.MemStats()
-			if ms.Retired == 0 {
-				t.Fatal("no nodes retired by 4000 boundary-crossing ops")
-			}
-			if ms.Freed == 0 {
-				t.Fatal("grace never expired: nothing freed")
-			}
-			if ms.Recycled == 0 {
-				t.Fatal("pool never reused a node")
-			}
-			if ms.Pooled > 8 {
-				t.Fatalf("pool occupancy %d exceeds its bound 8", ms.Pooled)
-			}
-			// Single quiescent handle: everything retired must have been
-			// freed by Drain.
-			if ms.Freed != ms.Retired {
-				t.Fatalf("retired %d != freed %d after quiescent Drain",
-					ms.Retired, ms.Freed)
-			}
-			if h.PendingRetires() != 0 {
-				t.Fatalf("PendingRetires = %d after Drain", h.PendingRetires())
-			}
-			// The steady-state queue pattern needs only a handful of live
-			// nodes plus reclamation slack — the pool (8) and one scan
-			// threshold of pending retires — nowhere near the ~2000 nodes
-			// the pattern churned through.
-			if ms.LiveNodes > ms.HighWater || ms.HighWater > 128 {
-				t.Fatalf("live=%d highwater=%d: recycling failed to bound footprint",
-					ms.LiveNodes, ms.HighWater)
-			}
-		})
-	}
+	t.Run("hazard", func(t *testing.T) {
+		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 8})
+		h := d.Register()
+		churnNodes(d, h, 4000)
+		h.Drain()
+		ms := d.MemStats()
+		if ms.Retired == 0 {
+			t.Fatal("no nodes retired by 4000 boundary-crossing ops")
+		}
+		if ms.Freed == 0 {
+			t.Fatal("grace never expired: nothing freed")
+		}
+		if ms.Recycled == 0 {
+			t.Fatal("pool never reused a node")
+		}
+		if ms.Pooled > 8 {
+			t.Fatalf("pool occupancy %d exceeds its bound 8", ms.Pooled)
+		}
+		// Single quiescent handle: everything retired must have been
+		// freed by Drain.
+		if ms.Freed != ms.Retired {
+			t.Fatalf("retired %d != freed %d after quiescent Drain",
+				ms.Retired, ms.Freed)
+		}
+		if h.PendingRetires() != 0 {
+			t.Fatalf("PendingRetires = %d after Drain", h.PendingRetires())
+		}
+		// The steady-state queue pattern needs only a handful of live
+		// nodes plus reclamation slack — the pool (8) and one scan
+		// threshold of pending retires — nowhere near the ~2000 nodes
+		// the pattern churned through.
+		if ms.LiveNodes > ms.HighWater || ms.HighWater > 128 {
+			t.Fatalf("live=%d highwater=%d: recycling failed to bound footprint",
+				ms.LiveNodes, ms.HighWater)
+		}
+	})
 }
 
 func TestPendingRetiresVisibleBeforeDrain(t *testing.T) {
 	// A single participant: retires sit on the handle's hazard list until
 	// it reaches the scan threshold, so shortly after churn the handle must
 	// report pending work, and Drain must clear it.
-	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-		Reclaim: ReclaimHazard, PoolNodes: 8})
+	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 8})
 	h := d.Register()
 	churnNodes(d, h, 40)
 	if h.PendingRetires() == 0 {
@@ -109,52 +98,43 @@ func TestPendingRetiresVisibleBeforeDrain(t *testing.T) {
 }
 
 func TestMaxLiveNodesErrFull(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		reclaim ReclaimPolicy
-	}{
-		{"none", ReclaimNone},
-		{"hazard", ReclaimHazard},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const limit = 6
-			d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2,
-				Reclaim: tc.reclaim, PoolNodes: 4, MaxLiveNodes: limit})
-			h := d.Register()
-			// Fill until the node bound trips. MinNodeSize holds 2 values
-			// per node, so the bound must trip within ~2*limit+2 pushes.
-			var pushed int
-			for i := 0; i < 4*limit; i++ {
-				err := d.PushLeft(h, uint32(i))
-				if err == ErrFull {
-					break
-				}
-				if err != nil {
-					t.Fatalf("push %d: %v", i, err)
-				}
-				pushed++
+	t.Run("hazard", func(t *testing.T) {
+		const limit = 6
+		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4, MaxLiveNodes: limit})
+		h := d.Register()
+		// Fill until the node bound trips. MinNodeSize holds 2 values
+		// per node, so the bound must trip within ~2*limit+2 pushes.
+		var pushed int
+		for i := 0; i < 4*limit; i++ {
+			err := d.PushLeft(h, uint32(i))
+			if err == ErrFull {
+				break
 			}
-			if pushed == 4*limit {
-				t.Fatalf("bound %d never tripped after %d pushes", limit, pushed)
+			if err != nil {
+				t.Fatalf("push %d: %v", i, err)
 			}
-			if ms := d.MemStats(); ms.HighWater > limit {
-				t.Fatalf("high-water %d exceeds bound %d", ms.HighWater, limit)
+			pushed++
+		}
+		if pushed == 4*limit {
+			t.Fatalf("bound %d never tripped after %d pushes", limit, pushed)
+		}
+		if ms := d.MemStats(); ms.HighWater > limit {
+			t.Fatalf("high-water %d exceeds bound %d", ms.HighWater, limit)
+		}
+		// Draining the deque and the grace domain must make room again.
+		for i := 0; i < pushed; i++ {
+			if _, ok := d.PopRight(h); !ok {
+				t.Fatalf("pop %d of %d failed", i, pushed)
 			}
-			// Draining the deque and the grace domain must make room again.
-			for i := 0; i < pushed; i++ {
-				if _, ok := d.PopRight(h); !ok {
-					t.Fatalf("pop %d of %d failed", i, pushed)
-				}
-			}
-			h.Drain()
-			if err := d.PushLeft(h, 99); err != nil {
-				t.Fatalf("push after drain: %v", err)
-			}
-			if v, ok := d.PopLeft(h); !ok || v != 99 {
-				t.Fatalf("PopLeft = %v, %v after refill", v, ok)
-			}
-		})
-	}
+		}
+		h.Drain()
+		if err := d.PushLeft(h, 99); err != nil {
+			t.Fatalf("push after drain: %v", err)
+		}
+		if v, ok := d.PopLeft(h); !ok || v != 99 {
+			t.Fatalf("PopLeft = %v, %v after refill", v, ok)
+		}
+	})
 }
 
 // TestMemoryLimitSustainedChurn is the acceptance test for the hard bound:
@@ -169,7 +149,7 @@ func TestMemoryLimitSustainedChurn(t *testing.T) {
 		opsPer  = 5000
 	)
 	d := New(Config{NodeSize: MinNodeSize, MaxThreads: workers + 1,
-		Reclaim: ReclaimHazard, PoolNodes: limit, MaxLiveNodes: limit})
+		PoolNodes: limit, MaxLiveNodes: limit})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -113,8 +113,16 @@ type Participant struct {
 // The usual validation protocol applies: load the key from the shared
 // structure, Protect it, then re-verify the key is still reachable before
 // dereferencing state obtained through it.
+//
+// A slot that already holds key is left alone. Only the owner writes its
+// slots, so the earlier store of key precedes the caller's validation load
+// exactly as a fresh store would; skipping it saves a sequentially
+// consistent store on the common path, where an operation re-guards the
+// edge node its previous one advertised.
 func (p *Participant) Protect(slot int, key uint64) uint64 {
-	p.d.hazards[p.base+slot].v.Store(key)
+	if h := &p.d.hazards[p.base+slot].v; h.Load() != key {
+		h.Store(key)
+	}
 	return key
 }
 

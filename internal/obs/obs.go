@@ -203,8 +203,7 @@ type Metrics struct {
 	ValuesHighWater uint64 `json:"values_high_water,omitempty"`
 	ValueCapacity   uint64 `json:"value_capacity,omitempty"`
 
-	// Node-memory account (recycling reclamation only; all zero under
-	// ReclaimNone). MemNodesLive counts node structures currently retained
+	// Node-memory account. MemNodesLive counts node structures currently retained
 	// (chained + awaiting grace + pooled); MemNodesHighWater its lifetime
 	// maximum; MemLimitNodes the configured hard bound (0 = unbounded).
 	// NodesRetired/NodesRecycled are monotone counters; NodesLimbo is

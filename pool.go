@@ -85,8 +85,7 @@ const (
 
 // ParseRouting maps the flag spellings "rr", "key", and "least" (and
 // their long forms) to a RoutePolicy, wrapping ErrBadOption on unknown
-// input — the routing twin of ParseReclamation, and what cmd/dequed and
-// cmd/dqload parse their -route flags with.
+// input — what cmd/dequed and cmd/dqload parse their -route flags with.
 func ParseRouting(s string) (RoutePolicy, error) {
 	p, err := shard.ParsePolicy(s)
 	if err != nil {

@@ -120,78 +120,71 @@ func TestRelaxedSequentialRankBound(t *testing.T) {
 
 // TestRelaxedConservationConcurrent pushes a tagged value set from many
 // goroutines through the relaxed front-end and pops everything back,
-// checking conservation (every value exactly once) with and without node
-// recycling — the -race pass covers the stamp protocol's interplay with
+// checking conservation (every value exactly once) while removed nodes
+// recycle — the -race pass covers the stamp protocol's interplay with
 // hazard reclamation.
 func TestRelaxedConservationConcurrent(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		rec  Reclamation
-	}{{"gc", ReclaimGC}, {"hazard", ReclaimHazard}} {
-		rec := c.rec
-		t.Run(c.name, func(t *testing.T) {
-			const (
-				shards  = 4
-				workers = 4
-				perW    = 2000
-				bound   = 64
-			)
-			r := NewRelaxed[int](shards,
-				WithRankBound(bound),
-				WithRelaxedPool(WithShardOptions(
-					WithMaxThreads(2*workers+1),
-					WithReclamation(rec),
-				)),
-			)
-			var wg sync.WaitGroup
-			seen := make([]int32, workers*perW)
-			var mu sync.Mutex
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := r.Register()
-					for i := 0; i < perW; i++ {
-						if err := h.PushLeft(w*perW + i); err != nil {
-							t.Error(err)
-							return
-						}
-						if i%3 == 0 {
-							if v, ok := h.PopRight(); ok {
-								mu.Lock()
-								seen[v]++
-								mu.Unlock()
-							}
+	t.Run("hazard", func(t *testing.T) {
+		const (
+			shards  = 4
+			workers = 4
+			perW    = 2000
+			bound   = 64
+		)
+		r := NewRelaxed[int](shards,
+			WithRankBound(bound),
+			WithRelaxedPool(WithShardOptions(
+				WithMaxThreads(2*workers+1),
+			)),
+		)
+		var wg sync.WaitGroup
+		seen := make([]int32, workers*perW)
+		var mu sync.Mutex
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				h := r.Register()
+				for i := 0; i < perW; i++ {
+					if err := h.PushLeft(w*perW + i); err != nil {
+						t.Error(err)
+						return
+					}
+					if i%3 == 0 {
+						if v, ok := h.PopRight(); ok {
+							mu.Lock()
+							seen[v]++
+							mu.Unlock()
 						}
 					}
-					h.Flush()
-				}(w)
-			}
-			wg.Wait()
-			// Drain the remainder single-threaded.
-			h := r.Register()
-			for {
-				v, ok := h.PopRight()
-				if !ok {
-					break
 				}
-				seen[v]++
+				h.Flush()
+			}(w)
+		}
+		wg.Wait()
+		// Drain the remainder single-threaded.
+		h := r.Register()
+		for {
+			v, ok := h.PopRight()
+			if !ok {
+				break
 			}
-			for v, n := range seen {
-				if n != 1 {
-					t.Fatalf("value %d popped %d times, want exactly once", v, n)
-				}
+			seen[v]++
+		}
+		for v, n := range seen {
+			if n != 1 {
+				t.Fatalf("value %d popped %d times, want exactly once", v, n)
 			}
-			if r.LenExact() != 0 || r.Len() != 0 {
-				t.Fatalf("relaxed pool not empty after drain: exact=%d est=%d", r.LenExact(), r.Len())
+		}
+		if r.LenExact() != 0 || r.Len() != 0 {
+			t.Fatalf("relaxed pool not empty after drain: exact=%d est=%d", r.LenExact(), r.Len())
+		}
+		if MetricsEnabled {
+			if m := r.RelaxMetrics(); m.RankMax > bound {
+				t.Fatalf("estimator max %d exceeds bound %d", m.RankMax, bound)
 			}
-			if MetricsEnabled {
-				if m := r.RelaxMetrics(); m.RankMax > bound {
-					t.Fatalf("estimator max %d exceeds bound %d", m.RankMax, bound)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestRelaxedStrictModeDelegates(t *testing.T) {

@@ -61,7 +61,7 @@ go test -race -short -count=1 -cpu 2 ./internal/shard/ ./internal/wire/ ./intern
 # once, so node reuse through the hazard domain (retire, scan, pool,
 # reinstall) races on two Ps at full trial counts.
 echo "== go test -race (hazard recycling suites, full length) =="
-go test -race -count=1 -cpu 2 -run '^(TestConformanceReclaimHazard|TestLinearizabilityReclaimHazardTinyPool|TestRecyclingRoundTrip|TestMemoryLimitSustainedChurn|TestMaxLiveNodesErrFull|TestPendingRetiresVisibleBeforeDrain|TestRetireClearsRegistryImmediately|TestReinitCountersDefeatCrossLifeCAS|TestHazardGuardsAdvertiseReads|TestDrainReleasesCachedSpares|TestRecyclingThroughGenericAPI|TestMemoryLimitErrFullAndRecovery)$' \
+go test -race -count=1 -cpu 2 -run '^(TestConformanceReclaimHazard|TestLinearizabilityReclaimHazardTinyPool|TestRecyclingRoundTrip|TestMemoryLimitSustainedChurn|TestMaxLiveNodesErrFull|TestPendingRetiresVisibleBeforeDrain|TestRetireClearsRegistryImmediately|TestRetireExactlyOnce|TestReinitCountersDefeatCrossLifeCAS|TestHazardGuardsAdvertiseReads|TestDrainReleasesCachedSpares|TestRecyclingThroughGenericAPI|TestMemoryLimitErrFullAndRecovery)$' \
     ./internal/core/ .
 
 echo "== go test -race -count=10 (relaxed, DEPQ and steal pops: one shared certify loop) =="
@@ -86,7 +86,7 @@ go test -tags obsoff -count=1 . ./internal/core/ ./internal/obs/
 echo "== observability-overhead A/B gate (counters + histograms + flight recorder vs -tags obsoff) =="
 sh scripts/ab.sh obsoff 'ObsMixed4Way$' '' 'ObsMixed4Way$'
 
-echo "== reclamation allocs/op gate (hazard steady state <= 0.018 allocs/op) =="
+echo "== node-recycling allocs/op gate (default pool, steady state <= 0.018 allocs/op) =="
 go test -count=1 -run 'TestRecyclingSteadyStateAllocs' -v .
 
 echo "== go vet (chaos build) =="
