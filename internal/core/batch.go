@@ -7,14 +7,15 @@ import (
 )
 
 // This file implements the batch operations PushLeftN/PopLeftN and their
-// right-side mirrors. A batch is linearizable PER ELEMENT — it is exactly a
-// sequence of individual pushes (pops) by the same thread, with no atomicity
-// claimed across the batch — but the elements after the first ride a "run":
-// once the full protocol (oracle walk, edge checks, transition dispatch) has
-// located the edge and moved it, each subsequent element repeats only the
-// two-CAS interior transition at the slot the previous element just
-// determined, skipping the oracle entirely and publishing the shared hint
-// once per run instead of once per element.
+// right-side mirrors; the run extensions are written once, in the left
+// side's coordinates (sideCoords, left.go). A batch is linearizable PER
+// ELEMENT — it is exactly a sequence of individual pushes (pops) by the same
+// thread, with no atomicity claimed across the batch — but the elements
+// after the first ride a "run": once the full protocol (oracle walk, edge
+// checks, transition dispatch) has located the edge and moved it, each
+// subsequent element repeats only the two-CAS interior transition at the
+// slot the previous element just determined, skipping the oracle entirely
+// and publishing the shared hint once per run instead of once per element.
 //
 // Safety: every run step performs the paper's interior transition verbatim
 // (push L1: bump in, write out; pop L2: bump out, clear in) with full
@@ -51,7 +52,7 @@ func (d *Deque) pushN(h *Handle, s obs.Side, vals []uint32) (int, error) {
 	}
 	sampled := d.opStart(h, obs.OpPush, s)
 	defer d.batchEnd(sampled, h, obs.LatBatchPush)
-	if a := d.elimArray(s); a != nil {
+	if a := d.elims[s]; a != nil {
 		for i, v := range vals {
 			if err := d.pushElim(h, s, a, v); err != nil {
 				return i, err
@@ -65,35 +66,32 @@ func (d *Deque) pushN(h *Handle, s obs.Side, vals []uint32) (int, error) {
 		if err := d.Push(h, s, vals[i], &head); err != nil {
 			return i, err
 		}
-		if s == obs.SideLeft {
-			i += d.pushLeftRun(h, head.idx, vals[i:])
-		} else {
-			i += d.pushRightRun(h, head.idx, vals[i:])
-		}
+		i += d.pushRun(h, s, head.idx, vals[i:])
 	}
 	return i, nil
 }
 
-// pushLeftRun extends a run whose head vals[0] just landed through the full
-// protocol at edge index idx: it pushes the following elements with
-// interior transitions while the left edge stays where the previous
+// pushRun extends a run on side s whose head vals[0] just landed through
+// the full protocol at edge index idx: it pushes the following elements
+// with interior transitions while the side's edge stays where the previous
 // element put it. Returns the number of elements pushed, head included.
-func (d *Deque) pushLeftRun(h *Handle, idx int, vals []uint32) int {
-	// The transition left the new outermost datum in h.edgeL: at idx-1 for
-	// an interior push, at sz-2 for an append or straddle (both place the
-	// datum in the new node's innermost data slot).
-	nd := h.edgeL
+func (d *Deque) pushRun(h *Handle, s obs.Side, idx int, vals []uint32) int {
+	c := &d.sides[s]
+	// The transition left the new outermost datum in h.edge[s]: at idx-1
+	// for an interior push, at sz-2 for an append or straddle (both place
+	// the datum in the new node's innermost data slot).
+	nd := h.edge[s]
 	j := d.sz - 2
 	if idx != 1 {
 		j = idx - 1
 	}
 	n := 1
 	for n < len(vals) && j >= 2 {
-		in := &nd.slots[j]
-		out := &nd.slots[j-1]
+		in := c.at(nd, j)
+		out := c.at(nd, j-1)
 		inCpy := in.Load()
 		outCpy := out.Load()
-		if word.IsReserved(word.Val(inCpy)) || word.Val(outCpy) != word.LN {
+		if word.IsReserved(word.Val(inCpy)) || word.Val(outCpy) != c.null {
 			break // edge moved or sealed: back to the full protocol
 		}
 		if chaos.Visit(chaos.L1) {
@@ -113,11 +111,11 @@ func (d *Deque) pushLeftRun(h *Handle, idx int, vals []uint32) int {
 		j--
 	}
 	if n > 1 {
-		nd.leftSlotHint.Store(int64(j))
-		h.edgeL = nd
-		h.idxL = j
+		nd.slotHint[s].Store(int64(j))
+		h.edge[s] = nd
+		h.idx[s] = j
 		h.rec.Inc(obs.CtrHintPublish)
-		d.left.set(d.left.w.Load(), nd)
+		d.hint[s].set(d.hint[s].w.Load(), nd)
 	}
 	return n
 }
@@ -132,7 +130,7 @@ func (d *Deque) PopLeftN(h *Handle, dst []uint32) int { return d.popN(h, obs.Sid
 func (d *Deque) popN(h *Handle, s obs.Side, dst []uint32) int {
 	sampled := d.opStart(h, obs.OpPop, s)
 	defer d.batchEnd(sampled, h, obs.LatBatchPop)
-	if a := d.elimArray(s); a != nil {
+	if a := d.elims[s]; a != nil {
 		for i := range dst {
 			v, ok := d.popElim(h, s, a)
 			if !ok {
@@ -150,31 +148,28 @@ func (d *Deque) popN(h *Handle, s obs.Side, dst []uint32) int {
 			break
 		}
 		dst[n] = v
-		if s == obs.SideLeft {
-			n += d.popLeftRun(h, head.idx, dst[n:])
-		} else {
-			n += d.popRightRun(h, head.idx, dst[n:])
-		}
+		n += d.popRun(h, s, head.idx, dst[n:])
 	}
 	return n
 }
 
-// popLeftRun extends a run whose head dst[0] was just popped through the
-// full protocol at edge index idx, with interior transitions walking
+// popRun extends a run on side s whose head dst[0] was just popped through
+// the full protocol at edge index idx, with interior transitions walking
 // inward. Returns the count popped, head included.
-func (d *Deque) popLeftRun(h *Handle, idx int, dst []uint32) int {
-	// The popped datum sat at edge.slots[idx]; the next-leftmost, if any,
-	// sits one slot inward in the same node.
-	nd := h.edgeL
+func (d *Deque) popRun(h *Handle, s obs.Side, idx int, dst []uint32) int {
+	c := &d.sides[s]
+	// The popped datum sat at logical index idx; the next-outermost, if
+	// any, sits one slot inward in the same node.
+	nd := h.edge[s]
 	j := idx + 1
 	n := 1
 	for n < len(dst) && j <= d.sz-2 {
-		in := &nd.slots[j]
-		out := &nd.slots[j-1]
+		in := c.at(nd, j)
+		out := c.at(nd, j-1)
 		inCpy := in.Load()
 		outCpy := out.Load()
 		inVal := word.Val(inCpy)
-		if word.IsReserved(inVal) || word.Val(outCpy) != word.LN {
+		if word.IsReserved(inVal) || word.Val(outCpy) != c.null {
 			break // empty span, straddle, or interference: full protocol decides
 		}
 		if chaos.Visit(chaos.L2) {
@@ -185,7 +180,7 @@ func (d *Deque) popLeftRun(h *Handle, idx int, dst []uint32) int {
 			h.rec.Inc(obs.CtrFailL2)
 			break
 		}
-		if !in.CompareAndSwap(inCpy, word.With(inCpy, word.LN)) {
+		if !in.CompareAndSwap(inCpy, word.With(inCpy, c.null)) {
 			h.rec.Inc(obs.CtrFailL2)
 			break
 		}
@@ -195,14 +190,14 @@ func (d *Deque) popLeftRun(h *Handle, idx int, dst []uint32) int {
 		j++
 	}
 	if n > 1 {
-		nd.leftSlotHint.Store(int64(j))
-		h.edgeL = nd
-		h.idxL = j
+		nd.slotHint[s].Store(int64(j))
+		h.edge[s] = nd
+		h.idx[s] = j
 		if j == d.sz-1 {
-			h.edgeL = nil // drained node: border slot holds a link
+			h.edge[s] = nil // drained node: border slot holds a link
 		}
 		h.rec.Inc(obs.CtrHintPublish)
-		d.left.set(d.left.w.Load(), nd)
+		d.hint[s].set(d.hint[s].w.Load(), nd)
 	}
 	return n
 }
@@ -215,91 +210,5 @@ func (d *Deque) PushRightN(h *Handle, vals []uint32) (int, error) {
 	return d.pushN(h, obs.SideRight, vals)
 }
 
-// pushRightRun mirrors pushLeftRun.
-func (d *Deque) pushRightRun(h *Handle, idx int, vals []uint32) int {
-	nd := h.edgeR
-	j := 1
-	if idx != d.sz-2 {
-		j = idx + 1
-	}
-	n := 1
-	for n < len(vals) && j <= d.sz-3 {
-		in := &nd.slots[j]
-		out := &nd.slots[j+1]
-		inCpy := in.Load()
-		outCpy := out.Load()
-		if word.IsReserved(word.Val(inCpy)) || word.Val(outCpy) != word.RN {
-			break
-		}
-		if chaos.Visit(chaos.L1) {
-			h.rec.Inc(obs.CtrFailL1)
-			break // injected lost race: back to the full protocol
-		}
-		if !in.CompareAndSwap(inCpy, word.Bump(inCpy)) {
-			h.rec.Inc(obs.CtrFailL1)
-			break
-		}
-		if !out.CompareAndSwap(outCpy, word.With(outCpy, vals[n])) {
-			h.rec.Inc(obs.CtrFailL1)
-			break
-		}
-		h.rec.Inc(obs.CtrL1)
-		n++
-		j++
-	}
-	if n > 1 {
-		nd.rightSlotHint.Store(int64(j))
-		h.edgeR = nd
-		h.idxR = j
-		h.rec.Inc(obs.CtrHintPublish)
-		d.right.set(d.right.w.Load(), nd)
-	}
-	return n
-}
-
 // PopRightN mirrors PopLeftN for the right end.
 func (d *Deque) PopRightN(h *Handle, dst []uint32) int { return d.popN(h, obs.SideRight, dst) }
-
-// popRightRun mirrors popLeftRun.
-func (d *Deque) popRightRun(h *Handle, idx int, dst []uint32) int {
-	nd := h.edgeR
-	j := idx - 1
-	n := 1
-	for n < len(dst) && j >= 1 {
-		in := &nd.slots[j]
-		out := &nd.slots[j+1]
-		inCpy := in.Load()
-		outCpy := out.Load()
-		inVal := word.Val(inCpy)
-		if word.IsReserved(inVal) || word.Val(outCpy) != word.RN {
-			break
-		}
-		if chaos.Visit(chaos.L2) {
-			h.rec.Inc(obs.CtrFailL2)
-			break // injected lost race: back to the full protocol
-		}
-		if !out.CompareAndSwap(outCpy, word.Bump(outCpy)) {
-			h.rec.Inc(obs.CtrFailL2)
-			break
-		}
-		if !in.CompareAndSwap(inCpy, word.With(inCpy, word.RN)) {
-			h.rec.Inc(obs.CtrFailL2)
-			break
-		}
-		h.rec.Inc(obs.CtrL2)
-		dst[n] = inVal
-		n++
-		j--
-	}
-	if n > 1 {
-		nd.rightSlotHint.Store(int64(j))
-		h.edgeR = nd
-		h.idxR = j
-		if j == 0 {
-			h.edgeR = nil // drained node: border slot holds a link
-		}
-		h.rec.Inc(obs.CtrHintPublish)
-		d.right.set(d.right.w.Load(), nd)
-	}
-	return n
-}

@@ -204,17 +204,20 @@ type Deque struct {
 
 	reg *arena.Registry[node]
 
+	// sides maps each end's logical slot indices and reserved values onto
+	// a node (left.go); indexed by obs.Side, like every per-side pair below.
+	sides [2]sideCoords
+
 	// The side hints are the two hottest global words: every structural
 	// transition CASes one of them. Each sideHint is padded to a full
-	// cache line (see its definition) and a leading spacer keeps left.w
+	// cache line (see its definition) and a leading spacer keeps hint[0].w
 	// off the line holding the read-only fields above, so a left-side
 	// publish never invalidates the right side's hint line or the
 	// config/registry reads on every oracle call.
-	_     pad.Spacer
-	left  sideHint
-	right sideHint
+	_    pad.Spacer
+	hint [2]sideHint
 
-	lElim, rElim *elim.Array
+	elims [2]*elim.Array
 
 	// obsReg owns every handle's observability counter block; Metrics()
 	// merges them. latReg owns the per-handle latency recorders
@@ -275,12 +278,17 @@ type node struct {
 	// escape. Escape chains point strictly toward nodes removed later (or
 	// still active), so following them terminates at the active chain.
 	escape atomic.Pointer[node]
-	// Slot hints (Fig. 5 lines 23-24): racy performance hints, stored
-	// atomically to keep the race detector honest.
-	_             pad.Spacer
-	leftSlotHint  atomic.Int64
-	_             pad.Spacer
-	rightSlotHint atomic.Int64
+	// Slot hints (Fig. 5 lines 23-24), one per side and each a logical
+	// index of its side: racy performance hints, stored atomically to keep
+	// the race detector honest.
+	slotHint [2]paddedHint
+}
+
+// paddedHint is one side's slot hint behind a spacer, so the two hints of
+// a node sit on different cache lines.
+type paddedHint struct {
+	_ pad.Spacer
+	atomic.Int64
 }
 
 // sideHint is the node_hint tuple of Fig. 5: a CAS-able (buffer, ct) word so
@@ -290,8 +298,8 @@ type node struct {
 // entry cleared. The shadow may briefly trail the word; any once-valid node
 // is an acceptable traversal start, so readers just take the shadow.
 // The trailing pad rounds the struct to one cache line, so the left and
-// right hints — adjacent fields in Deque — never share a line: the hot
-// words sit 64+ bytes apart with only inert padding between them.
+// right hints — adjacent elements of Deque.hint — never share a line: the
+// hot words sit 64+ bytes apart with only inert padding between them.
 type sideHint struct {
 	w  atomic.Uint64
 	nd atomic.Pointer[node]
@@ -334,9 +342,11 @@ func New(cfg Config) *Deque {
 		cfg: cfg,
 		reg: arena.NewRegistry[node](cfg.RegistryLimit),
 	}
-	if cfg.Elimination {
-		d.lElim = elim.New(cfg.MaxThreads)
-		d.rElim = elim.New(cfg.MaxThreads)
+	for s := range d.sides {
+		d.sides[s] = newSideCoords(obs.Side(s), cfg.NodeSize)
+		if cfg.Elimination {
+			d.elims[s] = elim.New(cfg.MaxThreads)
+		}
 	}
 	if cfg.LatSample > 0 {
 		d.latSample = uint32(cfg.LatSample)
@@ -345,11 +355,10 @@ func New(cfg Config) *Deque {
 	d.initReclaim()
 	// Initial node, split down the middle (Fig. 5 constructor).
 	first := d.newNode(cfg.NodeSize / 2)
-	hint := word.Pack(first.id, 0)
-	d.left.w.Store(hint)
-	d.left.nd.Store(first)
-	d.right.w.Store(hint)
-	d.right.nd.Store(first)
+	for s := range d.hint {
+		d.hint[s].w.Store(word.Pack(first.id, 0))
+		d.hint[s].nd.Store(first)
+	}
 	return d
 }
 
@@ -386,8 +395,7 @@ func (d *Deque) newNodeTry(split int) (n *node, fromPool bool, err error) {
 	for i := split; i < d.sz; i++ {
 		n.slots[i].Store(word.Pack(word.RN, 0))
 	}
-	n.leftSlotHint.Store(int64(clamp(split-1, 1, d.sz-1)))
-	n.rightSlotHint.Store(int64(clamp(split, 0, d.sz-2)))
+	d.initSlotHints(n, split)
 	id, aerr := d.reg.TryAlloc(n)
 	if aerr != nil {
 		d.memNodes.Add(-1)
@@ -400,6 +408,14 @@ func (d *Deque) newNodeTry(split int) (n *node, fromPool bool, err error) {
 		panic("core: node ID collides with reserved slot values")
 	}
 	return n, false, nil
+}
+
+// initSlotHints aims each side's slot hint at its last null slot (or its
+// outermost data slot) in a node whose first split slots hold LN and the
+// rest RN.
+func (d *Deque) initSlotHints(n *node, split int) {
+	n.slotHint[obs.SideLeft].Store(int64(clamp(split-1, 1, d.sz-1)))
+	n.slotHint[obs.SideRight].Store(int64(clamp(d.sz-split-1, 1, d.sz-1)))
 }
 
 func clamp(v, lo, hi int) int {
@@ -421,49 +437,33 @@ func clamp(v, lo, hi int) int {
 // directly.
 func (d *Deque) resolve(id uint32) *node { return d.reg.Get(id) }
 
-// unregisterLeft retires n after its removal, plus any chain of left-sealed
-// nodes hanging off its left link: they were only reachable through n (the
-// paper's "another sealed node which has been sealed on the same side"), so
-// they became garbage together with n. The paper leaves those to its
-// garbage collector; the registry must drop them explicitly or they would
-// stay pinned. Every node unregistered gets its escape pointer aimed at the
-// surviving edge first, so stranded traversals always have a way back to
-// the chain. Each node's registry entry is cleared on the spot (reclaim.go
-// invariant I0), and the IDs are batched on the handle and only handed to
-// the grace domain after the walk — the walk keeps reading the chain's link
-// slots, and a retire that triggered an eager scan could otherwise recycle
-// a node out from under it (invariant I4). The walk needs no hazard guard of its own: the sealed chain is
+// unregister retires n after its removal from side s, plus any chain of
+// nodes sealed on the same side hanging off n's outer link: they were only
+// reachable through n (the paper's "another sealed node which has been
+// sealed on the same side"), so they became garbage together with n. The
+// paper leaves those to its garbage collector; the registry must drop them
+// explicitly or they would stay pinned. Every node unregistered gets its
+// escape pointer aimed at the surviving edge first, so stranded traversals
+// always have a way back to the chain. Each node's registry entry is
+// cleared on the spot (reclaim.go invariant I0), and the IDs are batched on
+// the handle and only handed to the grace domain after the walk — the walk
+// keeps reading the chain's link slots, and a retire that triggered an
+// eager scan could otherwise recycle a node out from under it (invariant
+// I4). The walk needs no hazard guard of its own: the sealed chain is
 // reachable only through the removal the caller just won, and each node's
 // slots are read before the walk marks it retired — an unretired node can
 // never be freed.
-func (d *Deque) unregisterLeft(h *Handle, n *node, edge *node) {
+func (d *Deque) unregister(h *Handle, s obs.Side, n *node, edge *node) {
+	c := &d.sides[s]
 	for n != nil {
 		n.escape.Store(edge)
-		v := word.Val(n.slots[0].Load())
+		v := word.Val(c.at(n, 0).Load())
 		d.markRetired(h, n)
 		if word.IsReserved(v) {
 			break
 		}
 		p := d.resolve(v)
-		if p == nil || word.Val(p.slots[d.sz-2].Load()) != word.LS {
-			break
-		}
-		n = p
-	}
-	d.flushRetires(h)
-}
-
-// unregisterRight mirrors unregisterLeft for right-sealed chains.
-func (d *Deque) unregisterRight(h *Handle, n *node, edge *node) {
-	for n != nil {
-		n.escape.Store(edge)
-		v := word.Val(n.slots[d.sz-1].Load())
-		d.markRetired(h, n)
-		if word.IsReserved(v) {
-			break
-		}
-		p := d.resolve(v)
-		if p == nil || word.Val(p.slots[1].Load()) != word.RS {
+		if p == nil || word.Val(c.at(p, d.sz-2).Load()) != c.seal {
 			break
 		}
 		n = p
@@ -481,35 +481,37 @@ type Handle struct {
 	d *Deque
 
 	tid int
-	// spareL/spareR cache append nodes for each side (their slot layouts
-	// differ, so they are not interchangeable). The install flags record
-	// that a spare came from the recycling pool and its registry entry must
-	// be republished after the link CAS commits (reclaim.go invariant I2);
+	// The per-side fields below are indexed by obs.Side.
+	//
+	// spare caches an append node for each side (their slot layouts
+	// differ, so they are not interchangeable). spareInstall records that
+	// a spare came from the recycling pool and its registry entry must be
+	// republished after the link CAS commits (reclaim.go invariant I2);
 	// fresh spares are installed at allocation.
-	spareL, spareR               *node
-	spareLInstall, spareRInstall bool
+	spare        [2]*node
+	spareInstall [2]bool
 
-	// edgeL/edgeR + idxL/idxR remember exactly where this handle's last
-	// successful operation on each side left the edge: the node and the
-	// in-slot of the would-be next operation. The next operation hands the
-	// cached pair straight to the transition functions (after checking the
-	// node still resolves), skipping the global hint load AND the slot
-	// scan — on the common uncontended path an operation touches no shared
-	// hint state at all. Safety does not depend on the cache being right:
-	// transitions validate their (node, index) argument completely before
-	// CASing, exactly as they must for a stale oracle answer (the paper's
-	// central design point), so a wrong cache can only cost a failed
-	// attempt and a fall back to the real oracle.
-	edgeL, edgeR *node
-	idxL, idxR   int
-	// hintPubL/hintPubR count down interior-transition hint publishes.
+	// edge + idx remember exactly where this handle's last successful
+	// operation on each side left the edge: the node and the in-slot (a
+	// logical index of the side) of the would-be next operation. The next
+	// operation hands the cached pair straight to the transition functions
+	// (after checking the node still resolves), skipping the global hint
+	// load AND the slot scan — on the common uncontended path an operation
+	// touches no shared hint state at all. Safety does not depend on the
+	// cache being right: transitions validate their (node, index) argument
+	// completely before CASing, exactly as they must for a stale oracle
+	// answer (the paper's central design point), so a wrong cache can only
+	// cost a failed attempt and a fall back to the real oracle.
+	edge [2]*node
+	idx  [2]int
+	// hintPub counts down interior-transition hint publishes.
 	// Structural transitions (append, remove, straddle) publish the global
 	// hint unconditionally — removal correctness depends on moving hints
 	// off retired nodes — but interior pushes and pops only move the edge
 	// one slot, so the handle publishes every hintPublishInterval-th one
 	// (and refreshes the node's slot hint on the same cadence; scans by
 	// other threads absorb the bounded staleness).
-	hintPubL, hintPubR uint8
+	hintPub [2]uint8
 
 	// bo is the retry contention manager. The paper relies on scheduler
 	// randomization to break obstruction-freedom's livelocks (§I); a
@@ -568,11 +570,13 @@ type Handle struct {
 	// per op class). Zero-size on obsoff builds.
 	lat *obs.LatRec
 	// Latency sampler (metrics.go): opTick is the countdown every single
-	// op and every batch call decrements, rearmed to Deque.latSample when
-	// it reaches zero and parked at MaxUint64 when latency recording is
-	// off; sampleAt is the sampled op's start. One decrement and one never-taken branch per
+	// op and every batch call decrements, rearmed by latGap with a
+	// pseudo-random gap of mean Deque.latSample when it reaches zero and
+	// parked at MaxUint64 when latency recording is off; sampleAt is the
+	// sampled op's start. One decrement and one never-taken branch per
 	// unsampled op, identical with or without -tags obsoff.
 	opTick   uint64
+	latGap   obs.LatGap
 	sampleAt time.Time
 
 	// Flight-recorder context. curOp/curSide are set at every operation
@@ -675,31 +679,20 @@ func (h *Handle) takeAllocErr() error {
 // node's slot count while eliminating ~7/8 of the CASes on the hint line.
 const hintPublishInterval = 8
 
-// publishLeft is the throttled hint update for interior left-side
-// transitions; see the hintPubL field comment. The node's slot hint rides
-// the same throttle: an atomic store per operation costs a full fence on
-// the hot path, while a hint at most hintPublishInterval slots stale only
-// costs a scan walk over slots that share the edge's cache line. Structural
+// publish is the throttled hint update for interior transitions on side s;
+// see the hintPub field comment. The node's slot hint rides the same
+// throttle: an atomic store per operation costs a full fence on the hot
+// path, while a hint at most hintPublishInterval slots stale only costs a
+// scan walk over slots that share the edge's cache line. Structural
 // transitions (append, straddle, remove) bypass this and store both hints
 // unconditionally.
-func (h *Handle) publishLeft(hintW uint64, n *node, slotIdx int) {
-	h.hintPubL++
-	if h.hintPubL >= hintPublishInterval {
-		h.hintPubL = 0
+func (h *Handle) publish(s obs.Side, hintW uint64, n *node, slotIdx int) {
+	h.hintPub[s]++
+	if h.hintPub[s] >= hintPublishInterval {
+		h.hintPub[s] = 0
 		h.rec.Inc(obs.CtrHintPublish)
-		n.leftSlotHint.Store(int64(slotIdx))
-		h.d.left.set(hintW, n)
-	}
-}
-
-// publishRight mirrors publishLeft.
-func (h *Handle) publishRight(hintW uint64, n *node, slotIdx int) {
-	h.hintPubR++
-	if h.hintPubR >= hintPublishInterval {
-		h.hintPubR = 0
-		h.rec.Inc(obs.CtrHintPublish)
-		n.rightSlotHint.Store(int64(slotIdx))
-		h.d.right.set(hintW, n)
+		n.slotHint[s].Store(int64(slotIdx))
+		h.d.hint[s].set(hintW, n)
 	}
 }
 
@@ -714,7 +707,8 @@ func (d *Deque) Register() *Handle {
 	// MaxUint64 and never fires.
 	h.opTick = math.MaxUint64
 	if obs.Enabled && d.latSample != 0 {
-		h.opTick = uint64(d.latSample)
+		h.latGap = obs.NewLatGap(uint64(tid)*0x9e3779b97f4a7c15 + 1)
+		h.opTick = h.latGap.Next(d.latSample)
 	}
 	h.bo.Init(backoff.DefaultMinSpins, backoff.DefaultMaxSpins, uint64(tid)*0x9e3779b97f4a7c15+1)
 	h.hp = d.hazDom.Register()

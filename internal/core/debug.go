@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -18,7 +19,7 @@ import (
 func (d *Deque) chain() []*node {
 	const maxWalk = 1 << 20 // guards diagnostic walks over corrupt states
 	sz := d.sz
-	nd, _ := d.left.get()
+	nd, _ := d.hint[obs.SideLeft].get()
 	// Walk left.
 	for i := 0; i < maxWalk; i++ {
 		v := word.Val(nd.slots[0].Load())

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -51,8 +52,8 @@ func TestQueuePatternDiagnostic(t *testing.T) {
 			return
 		case <-time.After(2 * time.Second):
 			ops := totalOps.Load()
-			lw, lword := d.left.get()
-			rw, _ := d.right.get()
+			lw, lword := d.hint[obs.SideLeft].get()
+			rw, _ := d.hint[obs.SideRight].get()
 			ch := d.chain()
 			span := 0
 			for _, n := range ch {

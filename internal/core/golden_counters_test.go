@@ -281,7 +281,7 @@ func goldenSealScript(out *strings.Builder, cfg Config) {
 // cache for that side at the straddle.
 func stageSeal(d *Deque, h *Handle, left bool) {
 	sz := d.sz
-	live, _ := d.left.get()
+	live, _ := d.hint[obs.SideLeft].get()
 	if left {
 		// sealed=[LN | LN .. LN LS | →live], live=[→sealed | 5 RN .. | RN]
 		live.slots[1].Store(word.Pack(5, 1))
@@ -292,7 +292,7 @@ func stageSeal(d *Deque, h *Handle, left bool) {
 		sealed.slots[sz-2].Store(word.Pack(word.LS, 1))
 		sealed.slots[sz-1].Store(word.Pack(live.id, 1))
 		live.slots[0].Store(word.Pack(sealed.id, 1))
-		h.edgeL, h.idxL = live, 1
+		h.edge[obs.SideLeft], h.idx[obs.SideLeft] = live, 1
 		return
 	}
 	// live=[LN | LN .. 5 | →sealed], sealed=[→live | RS RN .. | RN]
@@ -304,7 +304,7 @@ func stageSeal(d *Deque, h *Handle, left bool) {
 	sealed.slots[1].Store(word.Pack(word.RS, 1))
 	sealed.slots[0].Store(word.Pack(live.id, 1))
 	live.slots[sz-1].Store(word.Pack(sealed.id, 1))
-	h.edgeR, h.idxR = live, sz-2
+	h.edge[obs.SideRight], h.idx[obs.SideRight] = live, 1
 }
 
 // goldenFullScript drives a deque capped at three live nodes into ErrFull through the plain, Ctx and N pushes, then keeps working the

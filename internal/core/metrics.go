@@ -9,7 +9,7 @@ import (
 // This file is the core half of the observability layer (internal/obs): the
 // deque-level Metrics aggregator and the single-op latency sampler. The
 // per-transition counters themselves ride the hot paths in left.go,
-// right.go, oracle.go, and batch.go as plain single-writer adds on each
+// oracle.go, and batch.go as plain single-writer adds on each
 // handle's padded counter block (Handle.rec); building with -tags obsoff
 // compiles all of them away.
 
@@ -66,13 +66,13 @@ func (d *Deque) opStart(h *Handle, op obs.Op, side obs.Side) bool {
 	return true
 }
 
-// opStartSlow rearms the countdown and stamps the sampled op's start. Kept
-// out of line so opStart stays inlinable; reached once per sampling
-// interval.
+// opStartSlow rearms the countdown with a fresh pseudo-random gap of mean
+// Config.LatSample (obs.LatGap) and stamps the sampled op's start. Kept
+// out of line so opStart stays inlinable; reached once per sample.
 //
 //go:noinline
 func (d *Deque) opStartSlow(h *Handle) {
-	h.opTick = uint64(d.latSample)
+	h.opTick = h.latGap.Next(d.latSample)
 	h.sampleAt = time.Now()
 }
 

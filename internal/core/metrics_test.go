@@ -244,20 +244,21 @@ func TestMetricsMergeConsistentAcrossChurn(t *testing.T) {
 }
 
 // TestLatencySampleCadence pins the latency sampler: one countdown per
-// handle spans single pushes, single pops and whole batch calls alike, so
-// every LatSample-th call lands in its class's histogram, a batch call is
-// one tick, and a negative rate records nothing. The calls run in four
-// blocks — 40 PushLeft, 20 PushLeftN, 40 PopRight, 20 PopRightN — so at
-// rate 3 the batch blocks start mid-interval and only a shared countdown
-// gives 13/7/13/7.
+// handle spans single pushes, single pops and whole batch calls alike, a
+// batch call is one tick, and a negative rate records nothing. The calls
+// run in four blocks — 40 PushLeft, 20 PushLeftN, 40 PopRight, 20
+// PopRightN, 120 ticks. At rate 1 every call lands in its class's
+// histogram. At rates 3 and 4 the gaps between samples are drawn from
+// [rate-rate/2, rate+rate/2] (obs.LatGap), so every class is sampled and
+// the total lies within what 120 ticks of such gaps allow.
 func TestLatencySampleCadence(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("latency recording is compiled out (obsoff)")
 	}
-	for _, tc := range []struct {
-		sample, single, batch int
-	}{{4, 10, 5}, {3, 13, 7}, {1, 40, 20}, {-1, 0, 0}} {
-		d := New(Config{NodeSize: 8, MaxThreads: 2, LatSample: tc.sample})
+	const ticks = 120
+	classes := []obs.LatClass{obs.LatPushLeft, obs.LatPopRight, obs.LatBatchPush, obs.LatBatchPop}
+	for _, sample := range []int{4, 3, 1, -1} {
+		d := New(Config{NodeSize: 8, MaxThreads: 2, LatSample: sample})
 		h := d.Register()
 		for i := 0; i < 40; i++ {
 			if err := d.PushLeft(h, uint32(i)); err != nil {
@@ -279,17 +280,55 @@ func TestLatencySampleCadence(t *testing.T) {
 			}
 		}
 		set := d.LatencySnapshot()
-		for _, c := range []struct {
-			class obs.LatClass
-			want  int
-		}{
-			{obs.LatPushLeft, tc.single}, {obs.LatPopRight, tc.single},
-			{obs.LatBatchPush, tc.batch}, {obs.LatBatchPop, tc.batch},
-		} {
-			if got := set.Classes[c.class].Count; got != uint64(c.want) {
-				t.Errorf("LatSample %d: %v count = %d, want %d", tc.sample, c.class, got, c.want)
+		var total uint64
+		for i, c := range classes {
+			got := set.Classes[c].Count
+			total += got
+			switch {
+			case sample == 1:
+				if want := uint64(40 - 20*(i/2)); got != want {
+					t.Errorf("LatSample 1: %v count = %d, want %d", c, got, want)
+				}
+			case sample < 0:
+				if got != 0 {
+					t.Errorf("LatSample %d: %v count = %d, want 0", sample, c, got)
+				}
+			case got == 0:
+				t.Errorf("LatSample %d: %v never sampled", sample, c)
 			}
 		}
+		if sample > 1 {
+			lo, hi := sample-sample/2, sample+sample/2
+			if total < ticks/uint64(hi) || total > ticks/uint64(lo) {
+				t.Errorf("LatSample %d: %d samples in %d ticks, want [%d, %d]",
+					sample, total, ticks, ticks/hi, ticks/lo)
+			}
+		}
+	}
+}
+
+// TestLatencySampleSeesEveryPhase runs one handle through 2^20
+// PushLeft/PopRight pairs at the default rate: a period-2 op cycle. A
+// fixed every-1024th countdown would sample only the pops; the drawn gaps
+// must give each class at least a third of the samples.
+func TestLatencySampleSeesEveryPhase(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("latency recording is compiled out (obsoff)")
+	}
+	d := New(Config{MaxThreads: 2})
+	h := d.Register()
+	for i := 0; i < 1<<20; i++ {
+		if err := d.PushLeft(h, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := d.PopRight(h); !ok {
+			t.Fatal("PopRight found the deque empty")
+		}
+	}
+	set := d.LatencySnapshot()
+	push, pop := set.Classes[obs.LatPushLeft].Count, set.Classes[obs.LatPopRight].Count
+	if total := push + pop; push*3 < total || pop*3 < total {
+		t.Fatalf("push_left %d and pop_right %d samples, want each at least a third", push, pop)
 	}
 }
 

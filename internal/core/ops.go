@@ -9,9 +9,9 @@ import (
 // This file holds the operation scaffolding both sides share. The paper's
 // push_left (Fig. 6) and pop_left (Fig. 12) are each one loop — oracle,
 // transition, retry — and push_right/pop_right are their "symmetric code".
-// Here each loop is written once and takes the side as a parameter: the
-// side picks the oracle and the transitions, which stay mirrored in
-// left.go and right.go exactly as the paper states them.
+// Here each loop is written once and takes the side as a parameter, which
+// it hands to the one oracle and the one set of transitions (left.go,
+// written in the left side's coordinates as the paper states them).
 //
 //   - Push/Pop are the retry loops. Each holds, once, the steps every op
 //     shares: the reserved check, the sampled latency countdown, the
@@ -61,8 +61,8 @@ func (d *Deque) Push(h *Handle, s obs.Side, v uint32, b *Bound) error {
 	var sampled bool
 	if !b.isHead() {
 		sampled = d.opStart(h, obs.OpPush, s)
-		if b == nil && d.lElim != nil { // both arrays exist or neither
-			err := d.pushElim(h, s, d.elimArray(s), v)
+		if b == nil && d.elims[s] != nil {
+			err := d.pushElim(h, s, d.elims[s], v)
 			d.opEnd(sampled, h, obs.OpPush, s)
 			return err
 		}
@@ -74,18 +74,8 @@ func (d *Deque) Push(h *Handle, s obs.Side, v uint32, b *Bound) error {
 				return err
 			}
 		}
-		var edge *node
-		var idx int
-		var hintW uint64
-		var cached, ok bool
-		if s == obs.SideLeft {
-			edge, idx, hintW, cached = d.lOracleSeeded(h)
-			ok = d.pushLeftTransitions(h, v, edge, idx, hintW)
-		} else {
-			edge, idx, hintW, cached = d.rOracleSeeded(h)
-			ok = d.pushRightTransitions(h, v, edge, idx, hintW)
-		}
-		if ok {
+		edge, idx, hintW, cached := d.oracleSeeded(h, s)
+		if d.pushTransitions(h, s, v, edge, idx, hintW) {
 			if cached {
 				h.EdgeCacheHits++
 			}
@@ -103,7 +93,7 @@ func (d *Deque) Push(h *Handle, s obs.Side, v uint32, b *Bound) error {
 			return err
 		}
 		if cached {
-			h.dropEdge(s) // stale: the next attempt runs the real oracle
+			h.edge[s] = nil // stale: the next attempt runs the real oracle
 		}
 		h.noteFailure()
 	}
@@ -115,8 +105,8 @@ func (d *Deque) Pop(h *Handle, s obs.Side, b *Bound) (v uint32, ok bool, err err
 	var sampled bool
 	if !b.isHead() {
 		sampled = d.opStart(h, obs.OpPop, s)
-		if b == nil && d.lElim != nil {
-			v, ok = d.popElim(h, s, d.elimArray(s))
+		if b == nil && d.elims[s] != nil {
+			v, ok = d.popElim(h, s, d.elims[s])
 			d.opEnd(sampled, h, obs.OpPop, s)
 			return v, ok, nil
 		}
@@ -128,17 +118,9 @@ func (d *Deque) Pop(h *Handle, s obs.Side, b *Bound) (v uint32, ok bool, err err
 				return 0, false, err
 			}
 		}
-		var edge *node
-		var idx int
-		var hintW uint64
-		var cached, empty, fin bool
-		if s == obs.SideLeft {
-			edge, idx, hintW, cached = d.lOracleSeeded(h)
-			v, empty, fin = d.popLeftTransitions(h, edge, idx, hintW)
-		} else {
-			edge, idx, hintW, cached = d.rOracleSeeded(h)
-			v, empty, fin = d.popRightTransitions(h, edge, idx, hintW)
-		}
+		edge, idx, hintW, cached := d.oracleSeeded(h, s)
+		var empty, fin bool
+		v, empty, fin = d.popTransitions(h, s, edge, idx, hintW)
 		if fin {
 			if cached {
 				h.EdgeCacheHits++
@@ -151,7 +133,7 @@ func (d *Deque) Pop(h *Handle, s obs.Side, b *Bound) (v uint32, ok bool, err err
 			return v, !empty, nil
 		}
 		if cached {
-			h.dropEdge(s)
+			h.edge[s] = nil
 		}
 		h.noteFailure()
 	}
@@ -170,7 +152,7 @@ func (d *Deque) pushElim(h *Handle, s obs.Side, a *elim.Array, v uint32) error {
 	}
 	a.Insert(h.tid, elim.Push, v)
 	for {
-		edge, idx, hintW := d.sideOracle(h, s)
+		edge, idx, hintW := d.oracle(h, s, h.rec)
 		if _, eliminated := a.Remove(h.tid); eliminated {
 			h.noteElim(elim.Push)
 			h.noteSuccess()
@@ -204,7 +186,7 @@ func (d *Deque) popElim(h *Handle, s obs.Side, a *elim.Array) (uint32, bool) {
 	}
 	a.Insert(h.tid, elim.Pop, 0)
 	for {
-		edge, idx, hintW := d.sideOracle(h, s)
+		edge, idx, hintW := d.oracle(h, s, h.rec)
 		if v, eliminated := a.Remove(h.tid); eliminated {
 			h.noteElim(elim.Pop)
 			h.noteSuccess()
@@ -260,44 +242,5 @@ func (h *Handle) noteElim(op elim.Op) {
 func spin(n int) {
 	for i := 0; i < n; i++ {
 		_ = i
-	}
-}
-
-// The side switches: each picks the left or right half of a mirrored pair.
-
-func (d *Deque) elimArray(s obs.Side) *elim.Array {
-	if s == obs.SideLeft {
-		return d.lElim
-	}
-	return d.rElim
-}
-
-func (d *Deque) sideOracle(h *Handle, s obs.Side) (*node, int, uint64) {
-	if s == obs.SideLeft {
-		return d.lOracle(h, h.rec)
-	}
-	return d.rOracle(h, h.rec)
-}
-
-func (d *Deque) pushTransitions(h *Handle, s obs.Side, v uint32, edge *node, idx int, hintW uint64) bool {
-	if s == obs.SideLeft {
-		return d.pushLeftTransitions(h, v, edge, idx, hintW)
-	}
-	return d.pushRightTransitions(h, v, edge, idx, hintW)
-}
-
-func (d *Deque) popTransitions(h *Handle, s obs.Side, edge *node, idx int, hintW uint64) (uint32, bool, bool) {
-	if s == obs.SideLeft {
-		return d.popLeftTransitions(h, edge, idx, hintW)
-	}
-	return d.popRightTransitions(h, edge, idx, hintW)
-}
-
-// dropEdge clears the side's edge cache after a stale cached attempt.
-func (h *Handle) dropEdge(s obs.Side) {
-	if s == obs.SideLeft {
-		h.edgeL = nil
-	} else {
-		h.edgeR = nil
 	}
 }

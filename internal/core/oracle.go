@@ -8,7 +8,8 @@ import (
 	"repro/internal/word"
 )
 
-// This file implements l_oracle and r_oracle (Fig. 5 lines 52-55). An oracle
+// This file implements l_oracle and r_oracle (Fig. 5 lines 52-55), written
+// once in the left side's coordinates (see sideCoords in left.go). An oracle
 // returns a (node, index) pair that identified the side's edge at some point
 // during the call; staleness is tolerated because every transition
 // re-validates through its two-CAS protocol. Oracles are also the traversal
@@ -94,52 +95,41 @@ func (d *Deque) followInward(side *sideHint, hintW uint64, nd *node, id uint32) 
 	return d.escapeFrom(side, hintW, nd)
 }
 
-// scanLeft finds the leftmost non-LN slot index in [1, sz-1], seeded by the
-// node's left slot hint. Concurrent edits can skew the answer; callers
-// validate.
-func (d *Deque) scanLeft(n *node) int {
-	i := clamp(int(n.leftSlotHint.Load()), 1, d.sz-1)
-	for i < d.sz-1 && word.Val(n.slots[i].Load()) == word.LN {
+// scan finds side s's outermost non-null slot, as a logical index in
+// [1, sz-1], seeded by the node's slot hint for the side. Concurrent edits
+// can skew the answer; callers validate.
+func (d *Deque) scan(s obs.Side, n *node) int {
+	c := &d.sides[s]
+	i := clamp(int(n.slotHint[s].Load()), 1, d.sz-1)
+	for i < d.sz-1 && word.Val(c.at(n, i).Load()) == c.null {
 		i++
 	}
-	for i > 1 && word.Val(n.slots[i-1].Load()) != word.LN {
+	for i > 1 && word.Val(c.at(n, i-1).Load()) != c.null {
 		i--
 	}
 	return i
 }
 
-// scanRight finds the rightmost non-RN slot index in [0, sz-2].
-func (d *Deque) scanRight(n *node) int {
-	i := clamp(int(n.rightSlotHint.Load()), 0, d.sz-2)
-	for i > 0 && word.Val(n.slots[i].Load()) == word.RN {
-		i--
-	}
-	for i < d.sz-2 && word.Val(n.slots[i+1].Load()) != word.RN {
-		i++
-	}
-	return i
-}
-
-// lOracle locates the left edge: the node and index of the leftmost non-LN
-// slot on the active chain (a datum; or RN/a link when the deque is empty).
-// It also returns the hint word it started from, which callers thread into
-// their hint updates. h carries the walk's reclamation guard (hazard
-// advertisement + registration check, see guardNode); nil is allowed for
-// diagnostic walks outside any handle.
-func (d *Deque) lOracle(h *Handle, rec *obs.Rec) (*node, int, uint64) {
+// oracle locates side s's edge: the node and logical index of the
+// outermost non-null slot on the active chain (a datum; or the opposite
+// null or a link when the deque is empty). It also returns the hint word it
+// started from, which callers thread into their hint updates. h carries the
+// walk's reclamation guard (hazard advertisement + registration check, see
+// guardNode); nil is allowed for diagnostic walks outside any handle.
+func (d *Deque) oracle(h *Handle, s obs.Side, rec *obs.Rec) (*node, int, uint64) {
 	rec.Inc(obs.CtrOracleWalk)
 	var w wedgeCheck
 	for {
-		nd, hintW := d.left.get()
-		nd = d.advanceShadow(&d.left, nd)
-		if edge, idx, ok := d.lOracleWalk(h, nd, hintW, rec); ok {
+		nd, hintW := d.hint[s].get()
+		nd = d.advanceShadow(&d.hint[s], nd)
+		if edge, idx, ok := d.oracleWalk(h, s, nd, hintW, rec); ok {
 			return edge, idx, hintW
 		}
 		// Hops exhausted or the walk chose to restart: re-read the global
 		// hint and start over.
 		rec.Inc(obs.CtrOracleRestart)
 		if chaos.Enabled {
-			w.restart(d, "left", hintW, nd)
+			w.restart(d, s, hintW, nd)
 		}
 	}
 }
@@ -160,7 +150,7 @@ type wedgeCheck struct {
 	n     int
 }
 
-func (w *wedgeCheck) restart(d *Deque, side string, hintW uint64, start *node) {
+func (w *wedgeCheck) restart(d *Deque, side obs.Side, hintW uint64, start *node) {
 	if hintW != w.hintW {
 		w.hintW, w.n = hintW, 0
 	}
@@ -171,33 +161,36 @@ func (w *wedgeCheck) restart(d *Deque, side string, hintW uint64, start *node) {
 	}
 }
 
-// lOracleSeeded is lOracle with the per-handle edge cache in front: when the
-// handle's cached left-edge node still resolves, the cached (node, index)
-// pair is returned directly — no hint load, no slot scan. This is sound
-// because transitions validate their edge argument completely before
+// oracleSeeded is oracle with the per-handle edge cache in front: when the
+// handle's cached edge node for side s still resolves, the cached (node,
+// index) pair is returned directly — no hint load, no slot scan. This is
+// sound because transitions validate their edge argument completely before
 // CASing; a stale pair fails the attempt and the caller falls back to the
 // real oracle (clearing the cache first, see the operation loops). cached
 // reports whether the answer came from the cache; it feeds EdgeCacheHits on
 // completion.
-func (d *Deque) lOracleSeeded(h *Handle) (edge *node, idx int, hintW uint64, cached bool) {
-	// guardNode both validates the cached node is still registered and, in
-	// hazard mode, re-advertises it first — so a scan between operations
-	// cannot recycle the node after this validation passes.
-	if c := h.edgeL; c != nil &&
-		h.idxL >= 1 && h.idxL <= d.sz-1 && d.guardNode(h, c) &&
+func (d *Deque) oracleSeeded(h *Handle, s obs.Side) (edge *node, idx int, hintW uint64, cached bool) {
+	// guardNode both validates the cached node is still registered and
+	// re-advertises it first — so a scan between operations cannot recycle
+	// the node after this validation passes.
+	if c := h.edge[s]; c != nil &&
+		h.idx[s] >= 1 && h.idx[s] <= d.sz-1 && d.guardNode(h, c) &&
 		!chaos.Visit(chaos.EdgeCache) {
 		h.rec.Inc(obs.CtrEdgeCacheHit)
-		return c, h.idxL, d.left.w.Load(), true
+		return c, h.idx[s], d.hint[s].w.Load(), true
 	}
 	h.rec.Inc(obs.CtrEdgeCacheMiss)
-	edge, idx, hintW = d.lOracle(h, h.rec)
+	edge, idx, hintW = d.oracle(h, s, h.rec)
 	return edge, idx, hintW, false
 }
 
-// lOracleWalk runs one bounded walk from nd toward the left edge. ok=false
-// means the walk wants a restart from a fresh global hint.
-func (d *Deque) lOracleWalk(h *Handle, nd *node, hintW uint64, rec *obs.Rec) (*node, int, bool) {
+// oracleWalk runs one bounded walk from nd toward side s's edge. ok=false
+// means the walk wants a restart from a fresh global hint. The comments
+// name the left side's values and neighbors.
+func (d *Deque) oracleWalk(h *Handle, s obs.Side, nd *node, hintW uint64, rec *obs.Rec) (*node, int, bool) {
 	sz := d.sz
+	c := &d.sides[s]
+	side := &d.hint[s]
 	hops := 0
 walk:
 	for ; hops <= maxOracleHops; hops++ {
@@ -206,72 +199,72 @@ walk:
 		if chaos.Visit(chaos.Oracle) {
 			break walk
 		}
-		// Guard the node before reading its slots: advertise it (hazard
-		// mode) and confirm it is still registered. Unregistered nodes are
-		// retired — possibly mid-recycle — so they are escape-only
-		// territory (reclaim.go invariants I0/I3): follow the escape chain
-		// back toward the live chain without touching their slots.
+		// Guard the node before reading its slots: advertise it and
+		// confirm it is still registered. Unregistered nodes are retired —
+		// possibly mid-recycle — so they are escape-only territory
+		// (reclaim.go invariants I0/I3): follow the escape chain back
+		// toward the live chain without touching their slots.
 		if !d.guardNode(h, nd) {
-			next, restart := d.escapeFrom(&d.left, hintW, nd)
+			next, restart := d.escapeFrom(side, hintW, nd)
 			if restart {
 				break walk
 			}
 			nd = next
 			continue walk
 		}
-		idx := d.scanLeft(nd)
-		v := word.Val(nd.slots[idx].Load())
+		idx := d.scan(s, nd)
+		v := word.Val(c.at(nd, idx).Load())
 		switch {
-		case v == word.LN:
-			// Raced: the slot scanLeft chose just became LN. Rescan.
+		case v == c.null:
+			// Raced: the slot scan chose just became LN. Rescan.
 			continue walk
 
 		case idx == sz-1 && !word.IsReserved(v):
 			// Every data slot is LN and the right border links onward:
 			// the edge lies somewhere to the right (an inward move).
-			next, restart := d.followInward(&d.left, hintW, nd, v)
+			next, restart := d.followInward(side, hintW, nd, v)
 			if restart {
 				break walk
 			}
 			nd = next
 
-		case v == word.LS:
+		case v == c.seal:
 			// A left-sealed node lies left of the active chain; its
 			// right link leads inward.
-			rv := word.Val(nd.slots[sz-1].Load())
+			rv := word.Val(c.at(nd, sz-1).Load())
 			if word.IsReserved(rv) {
 				break walk
 			}
-			next, restart := d.followInward(&d.left, hintW, nd, rv)
+			next, restart := d.followInward(side, hintW, nd, rv)
 			if restart {
 				break walk
 			}
 			nd = next
 
-		case v == word.RS:
+		case v == c.oppSeal:
 			// A right-sealed node. If its left neighbor holds data,
 			// the left edge is inside the neighbor; walk there. If the
 			// neighbor is empty (or sealed), this straddle IS the left
 			// edge: pop_left's E2 reports EMPTY from it and pushes can
 			// straddle-push over it — so return it. If the link is
 			// dead, the node was removed: take the escape protocol.
-			lv := word.Val(nd.slots[0].Load())
+			lv := word.Val(c.at(nd, 0).Load())
 			if word.IsReserved(lv) {
 				break walk
 			}
 			if nbr := d.resolve(lv); nbr != nil {
-				fv := word.Val(nbr.slots[sz-2].Load())
+				fv := word.Val(c.at(nbr, sz-2).Load())
 				if !word.IsReserved(fv) {
 					nd = nbr
 					continue walk
 				}
-				if word.Val(nbr.slots[sz-1].Load()) == nd.id {
+				if word.Val(c.at(nbr, sz-1).Load()) == nd.id {
 					rec.Add(obs.CtrOracleHop, uint64(hops))
 					return nd, 1, true
 				}
 				// The neighbor no longer points back: nd was removed.
 			}
-			next, restart := d.escapeFrom(&d.left, hintW, nd)
+			next, restart := d.escapeFrom(side, hintW, nd)
 			if restart {
 				break walk
 			}
@@ -281,10 +274,10 @@ walk:
 			// Outermost data slot. If a left neighbor exists and holds
 			// data in its innermost slot, the span straddles into it
 			// and the true edge is further left.
-			lv := word.Val(nd.slots[0].Load())
+			lv := word.Val(c.at(nd, 0).Load())
 			if !word.IsReserved(lv) {
 				if nbr := d.resolve(lv); nbr != nil {
-					fv := word.Val(nbr.slots[sz-2].Load())
+					fv := word.Val(c.at(nbr, sz-2).Load())
 					if !word.IsReserved(fv) {
 						nd = nbr
 						continue walk
@@ -293,127 +286,6 @@ walk:
 			}
 			rec.Add(obs.CtrOracleHop, uint64(hops))
 			return nd, 1, true
-
-		default:
-			rec.Add(obs.CtrOracleHop, uint64(hops))
-			return nd, idx, true
-		}
-	}
-	rec.Add(obs.CtrOracleHop, uint64(hops))
-	return nil, 0, false
-}
-
-// rOracle locates the right edge, mirroring lOracle.
-func (d *Deque) rOracle(h *Handle, rec *obs.Rec) (*node, int, uint64) {
-	rec.Inc(obs.CtrOracleWalk)
-	var w wedgeCheck
-	for {
-		nd, hintW := d.right.get()
-		nd = d.advanceShadow(&d.right, nd)
-		if edge, idx, ok := d.rOracleWalk(h, nd, hintW, rec); ok {
-			return edge, idx, hintW
-		}
-		rec.Inc(obs.CtrOracleRestart)
-		if chaos.Enabled {
-			w.restart(d, "right", hintW, nd)
-		}
-	}
-}
-
-// rOracleSeeded mirrors lOracleSeeded for the right edge.
-func (d *Deque) rOracleSeeded(h *Handle) (edge *node, idx int, hintW uint64, cached bool) {
-	if c := h.edgeR; c != nil &&
-		h.idxR >= 0 && h.idxR <= d.sz-2 && d.guardNode(h, c) &&
-		!chaos.Visit(chaos.EdgeCache) {
-		h.rec.Inc(obs.CtrEdgeCacheHit)
-		return c, h.idxR, d.right.w.Load(), true
-	}
-	h.rec.Inc(obs.CtrEdgeCacheMiss)
-	edge, idx, hintW = d.rOracle(h, h.rec)
-	return edge, idx, hintW, false
-}
-
-// rOracleWalk mirrors lOracleWalk for the right edge.
-func (d *Deque) rOracleWalk(h *Handle, nd *node, hintW uint64, rec *obs.Rec) (*node, int, bool) {
-	sz := d.sz
-	hops := 0
-walk:
-	for ; hops <= maxOracleHops; hops++ {
-		if chaos.Visit(chaos.Oracle) {
-			break walk
-		}
-		// Guard before slot reads; unregistered nodes are escape-only (see
-		// lOracleWalk).
-		if !d.guardNode(h, nd) {
-			next, restart := d.escapeFrom(&d.right, hintW, nd)
-			if restart {
-				break walk
-			}
-			nd = next
-			continue walk
-		}
-		idx := d.scanRight(nd)
-		v := word.Val(nd.slots[idx].Load())
-		switch {
-		case v == word.RN:
-			continue walk
-
-		case idx == 0 && !word.IsReserved(v):
-			next, restart := d.followInward(&d.right, hintW, nd, v)
-			if restart {
-				break walk
-			}
-			nd = next
-
-		case v == word.RS:
-			lv := word.Val(nd.slots[0].Load())
-			if word.IsReserved(lv) {
-				break walk
-			}
-			next, restart := d.followInward(&d.right, hintW, nd, lv)
-			if restart {
-				break walk
-			}
-			nd = next
-
-		case v == word.LS:
-			// Mirror of lOracle's RS case: a left-sealed node whose
-			// right neighbor holds data sends the walk inward;
-			// otherwise the straddle is the right edge itself.
-			rv := word.Val(nd.slots[sz-1].Load())
-			if word.IsReserved(rv) {
-				break walk
-			}
-			if nbr := d.resolve(rv); nbr != nil {
-				fv := word.Val(nbr.slots[1].Load())
-				if !word.IsReserved(fv) {
-					nd = nbr
-					continue walk
-				}
-				if word.Val(nbr.slots[0].Load()) == nd.id {
-					rec.Add(obs.CtrOracleHop, uint64(hops))
-					return nd, sz - 2, true
-				}
-			}
-			next, restart := d.escapeFrom(&d.right, hintW, nd)
-			if restart {
-				break walk
-			}
-			nd = next
-
-		case idx == sz-2:
-			rv := word.Val(nd.slots[sz-1].Load())
-			if !word.IsReserved(rv) {
-				if nbr := d.resolve(rv); nbr != nil {
-					fv := word.Val(nbr.slots[1].Load())
-					if !word.IsReserved(fv) {
-						nd = nbr
-						continue walk
-					}
-				}
-			}
-			rec.Add(obs.CtrOracleHop, uint64(hops))
-			return nd, sz - 2, true
 
 		default:
 			rec.Add(obs.CtrOracleHop, uint64(hops))

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -49,8 +50,8 @@ func TestOracleEscapesDeadHint(t *testing.T) {
 
 	// Plant the oldest dead node (longest escape chain) as the left hint.
 	oldest := dead[0]
-	d.left.nd.Store(oldest)
-	d.left.w.Store(word.Pack(oldest.id, 12345))
+	d.hint[obs.SideLeft].nd.Store(oldest)
+	d.hint[obs.SideLeft].w.Store(word.Pack(oldest.id, 12345))
 
 	done := make(chan struct{})
 	go func() {
@@ -100,8 +101,8 @@ func TestOracleEscapesDeadRightHint(t *testing.T) {
 		t.Fatal("no removals staged")
 	}
 	newest := dead[len(dead)-1] // rightmost dead node
-	d.right.nd.Store(newest)
-	d.right.w.Store(word.Pack(newest.id, 54321))
+	d.hint[obs.SideRight].nd.Store(newest)
+	d.hint[obs.SideRight].w.Store(word.Pack(newest.id, 54321))
 
 	done := make(chan struct{})
 	go func() {
@@ -163,8 +164,8 @@ func TestOracleSurvivesConcurrentRemovalChurn(t *testing.T) {
 			default:
 			}
 			nd := dead[i%len(dead)]
-			d.left.nd.Store(nd)
-			d.right.nd.Store(nd)
+			d.hint[obs.SideLeft].nd.Store(nd)
+			d.hint[obs.SideRight].nd.Store(nd)
 			i++
 		}
 	}()
@@ -195,23 +196,23 @@ func TestEscapeFromSemantics(t *testing.T) {
 	if len(dead) < 3 {
 		t.Skipf("only %d removed nodes staged", len(dead))
 	}
-	hintW := d.left.w.Load()
+	hintW := d.hint[obs.SideLeft].w.Load()
 
 	// Unchanged hint word: escape is followed.
-	next, restart := d.escapeFrom(&d.left, hintW, dead[0])
+	next, restart := d.escapeFrom(&d.hint[obs.SideLeft], hintW, dead[0])
 	if restart || next == nil {
 		t.Fatalf("escapeFrom = (%v, restart=%v), want chain-follow", next, restart)
 	}
 
 	// Changed hint word: restart wins.
-	if _, restart := d.escapeFrom(&d.left, hintW+1, dead[0]); !restart {
+	if _, restart := d.escapeFrom(&d.hint[obs.SideLeft], hintW+1, dead[0]); !restart {
 		t.Fatal("escapeFrom did not restart on a moved hint")
 	}
 
 	// Live node with nil escape: restart (a stale link on a live node is
 	// repaired by rescanning from the hint).
-	live, _ := d.left.get()
-	if _, restart := d.escapeFrom(&d.left, hintW, live); !restart {
+	live, _ := d.hint[obs.SideLeft].get()
+	if _, restart := d.escapeFrom(&d.hint[obs.SideLeft], hintW, live); !restart {
 		t.Fatal("escapeFrom on a live node did not restart")
 	}
 }
@@ -224,7 +225,7 @@ func TestEscapePathCompression(t *testing.T) {
 	if len(dead) < 6 {
 		t.Skipf("only %d removed nodes staged", len(dead))
 	}
-	hintW := d.left.w.Load()
+	hintW := d.hint[obs.SideLeft].w.Load()
 	oldest := dead[0]
 
 	// Walk the chain from the oldest dead node repeatedly; measure hops to
@@ -234,7 +235,7 @@ func TestEscapePathCompression(t *testing.T) {
 		n := 0
 		cur := oldest
 		for d.resolve(cur.id) == nil {
-			next, restart := d.escapeFrom(&d.left, hintW, cur)
+			next, restart := d.escapeFrom(&d.hint[obs.SideLeft], hintW, cur)
 			if restart {
 				t.Fatal("unexpected restart on static chain")
 			}

@@ -54,7 +54,7 @@ import (
 //      until the remover, which waits on no one, sets it). Unresolvable
 //      nodes are escape-only territory: guarded walks (below) never read
 //      their slots.
-//  I4  Retires are batched per removal walk. unregisterLeft/Right finish
+//  I4  Retires are batched per removal walk. unregister finishes
 //      reading the sealed chain before any of its IDs reach the domain, so a
 //      scan triggered by the retire cannot recycle a node the walk is still
 //      reading. (The chain is exclusively the removing walk's: only the L7/R7
@@ -157,11 +157,10 @@ func (d *Deque) markRetired(h *Handle, n *node) {
 	// readers start from the surviving edge instead of removal history.
 	// Best-effort — a lost CAS means the shadow already moved on.
 	if esc := n.escape.Load(); esc != nil {
-		if d.left.nd.Load() == n {
-			d.left.nd.CompareAndSwap(n, esc)
-		}
-		if d.right.nd.Load() == n {
-			d.right.nd.CompareAndSwap(n, esc)
+		for s := range d.hint {
+			if d.hint[s].nd.Load() == n {
+				d.hint[s].nd.CompareAndSwap(n, esc)
+			}
 		}
 	}
 	if !n.retired.CompareAndSwap(0, 1) {
@@ -235,8 +234,7 @@ func (d *Deque) reinitNode(n *node, split int) {
 		s := &n.slots[i]
 		s.Store(word.Bump(word.With(s.Load(), word.RN)))
 	}
-	n.leftSlotHint.Store(int64(clamp(split-1, 1, d.sz-1)))
-	n.rightSlotHint.Store(int64(clamp(split, 0, d.sz-2)))
+	d.initSlotHints(n, split)
 	// escape is deliberately preserved (invariant I3).
 }
 
@@ -335,17 +333,13 @@ func (h *Handle) releaseSpare(n *node, fromPool bool) {
 // stranded spare would permanently shrink the MaxLiveNodes budget. Safe to
 // call at any operation boundary; the handle remains usable.
 func (h *Handle) Drain() {
-	if n := h.spareL; n != nil {
-		h.spareL = nil
-		fromPool := h.spareLInstall
-		h.spareLInstall = false
-		h.releaseSpare(n, fromPool)
-	}
-	if n := h.spareR; n != nil {
-		h.spareR = nil
-		fromPool := h.spareRInstall
-		h.spareRInstall = false
-		h.releaseSpare(n, fromPool)
+	for s, n := range h.spare {
+		if n != nil {
+			h.spare[s] = nil
+			fromPool := h.spareInstall[s]
+			h.spareInstall[s] = false
+			h.releaseSpare(n, fromPool)
+		}
 	}
 	// Push batched retires even under a chaos schedule: Drain is the
 	// explicit "get it all out" call.
@@ -356,7 +350,7 @@ func (h *Handle) Drain() {
 	// Withdraw advertisements so a parked handle pins no keys, drop the
 	// edge caches they were protecting, then sweep.
 	h.hp.ClearAll()
-	h.edgeL, h.edgeR = nil, nil
+	h.edge = [2]*node{}
 	h.hp.Drain()
 }
 

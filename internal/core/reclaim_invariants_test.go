@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -19,7 +20,7 @@ func TestRetireClearsRegistryImmediately(t *testing.T) {
 	t.Run("hazard", func(t *testing.T) {
 		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4})
 		h := d.Register()
-		edge, _, _ := d.lOracle(h, h.rec)
+		edge, _, _ := d.oracle(h, obs.SideLeft, h.rec)
 		if !d.guardNode(h, edge) {
 			t.Fatal("live edge failed guard validation")
 		}
@@ -50,7 +51,7 @@ func TestRetireClearsRegistryImmediately(t *testing.T) {
 func TestRetireExactlyOnce(t *testing.T) {
 	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4})
 	h := d.Register()
-	edge, _, _ := d.lOracle(h, h.rec)
+	edge, _, _ := d.oracle(h, obs.SideLeft, h.rec)
 	live, pooled := d.MemStats().LiveNodes, d.MemStats().Pooled
 	d.markRetired(h, edge)
 	d.markRetired(h, edge)
@@ -76,7 +77,7 @@ func TestRetireExactlyOnce(t *testing.T) {
 func TestReinitCountersDefeatCrossLifeCAS(t *testing.T) {
 	d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4})
 	h := d.Register()
-	edge, _, _ := d.lOracle(h, h.rec)
+	edge, _, _ := d.oracle(h, obs.SideLeft, h.rec)
 	old := make([]uint64, d.sz)
 	for i := range old {
 		old[i] = edge.slots[i].Load()
@@ -107,8 +108,8 @@ func TestHazardGuardsAdvertiseReads(t *testing.T) {
 	if len(snap) == 0 {
 		t.Fatal("no hazard advertisements after an operation: readers are invisible to the scan")
 	}
-	if h.edgeL != nil {
-		if _, ok := snap[retireKey(h.edgeL.id)]; !ok {
+	if h.edge[obs.SideLeft] != nil {
+		if _, ok := snap[retireKey(h.edge[obs.SideLeft].id)]; !ok {
 			t.Fatal("cached edge not advertised in the handle's hazard slots")
 		}
 	}
@@ -125,11 +126,11 @@ func TestDrainReleasesCachedSpares(t *testing.T) {
 	t.Run("pool_full", func(t *testing.T) {
 		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 1, MaxLiveNodes: 4})
 		h := d.Register()
-		edge, _, _ := d.lOracle(h, h.rec)
-		if _, ok := h.spareLeft(5, edge); !ok {
+		edge, _, _ := d.oracle(h, obs.SideLeft, h.rec)
+		if _, ok := h.shapeSpare(obs.SideLeft, 5, edge); !ok {
 			t.Fatal("spare allocation failed")
 		}
-		sp := h.spareL
+		sp := h.spare[obs.SideLeft]
 		// Fill the one-node pool the way freeNode would: a fresh node
 		// leaves the registry and parks in the pool.
 		filler, fromPool, err := d.newNodeTry(2)
@@ -142,7 +143,7 @@ func TestDrainReleasesCachedSpares(t *testing.T) {
 		}
 		live := d.MemStats().LiveNodes
 		h.Drain()
-		if h.spareL != nil {
+		if h.spare[obs.SideLeft] != nil {
 			t.Fatal("Drain left the spare cached")
 		}
 		if got := d.MemStats().LiveNodes; got != live-1 {
@@ -158,14 +159,14 @@ func TestDrainReleasesCachedSpares(t *testing.T) {
 	t.Run("hazard", func(t *testing.T) {
 		d := New(Config{NodeSize: MinNodeSize, MaxThreads: 2, PoolNodes: 4})
 		h := d.Register()
-		edge, _, _ := d.lOracle(h, h.rec)
-		if _, ok := h.spareLeft(5, edge); !ok {
+		edge, _, _ := d.oracle(h, obs.SideLeft, h.rec)
+		if _, ok := h.shapeSpare(obs.SideLeft, 5, edge); !ok {
 			t.Fatal("spare allocation failed")
 		}
-		sp := h.spareL
+		sp := h.spare[obs.SideLeft]
 		pooled := d.MemStats().Pooled
 		h.Drain()
-		if h.spareL != nil {
+		if h.spare[obs.SideLeft] != nil {
 			t.Fatal("Drain left the spare cached")
 		}
 		if got := d.MemStats().Pooled; got != pooled+1 {

@@ -23,7 +23,7 @@ func pendingRightSeal(t *testing.T) (*Deque, *node, *node) {
 	// (Reaching it through the public API is impossible single-threaded —
 	// seal and remove happen within one call — which is exactly why it
 	// needs staging.)
-	nd0, _ := d.left.get()
+	nd0, _ := d.hint[obs.SideLeft].get()
 	for i := 1; i < 5; i++ {
 		nd0.slots[i].Store(word.Pack(word.LN, 1))
 	}
@@ -41,7 +41,7 @@ func TestLeftOracleReturnsPendingRSStraddle(t *testing.T) {
 	var idx int
 	go func() {
 		defer close(done)
-		edge, idx, _ = d.lOracle(nil, new(obs.Rec))
+		edge, idx, _ = d.oracle(nil, obs.SideLeft, new(obs.Rec))
 	}()
 	select {
 	case <-done:
@@ -49,7 +49,7 @@ func TestLeftOracleReturnsPendingRSStraddle(t *testing.T) {
 		t.Fatal("left oracle wedged on pending right seal")
 	}
 	if edge != nd1 || idx != 1 {
-		t.Fatalf("lOracle = (node %d, %d), want (node %d, 1)", edge.id, idx, nd1.id)
+		t.Fatalf("left oracle = (node %d, %d), want (node %d, 1)", edge.id, idx, nd1.id)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestLonePushRightEscapesUnlinkedLeftHint(t *testing.T) {
 		t.Skip("the restart budget reads counters compiled out (obsoff)")
 	}
 	d, _, nd1 := pendingRightSeal(t)
-	d.left.set(d.left.w.Load(), nd1)
+	d.hint[obs.SideLeft].set(d.hint[obs.SideLeft].w.Load(), nd1)
 	h := d.Register()
 	done := make(chan error, 1)
 	go func() { done <- d.PushRight(h, 7) }()
@@ -198,7 +198,7 @@ func pendingLeftSeal(t *testing.T) (*Deque, *node, *node) {
 	// Mirror of pendingRightSeal: nd0=[LN | LN LN LN LS | →nd1],
 	// nd1=[→nd0 | RN RN RN RN | RN] — a left-side pop sealed nd0 and
 	// stalled before removing it.
-	nd1, _ := d.left.get()
+	nd1, _ := d.hint[obs.SideLeft].get()
 	for i := 1; i < 5; i++ {
 		nd1.slots[i].Store(word.Pack(word.RN, 1))
 	}
@@ -286,7 +286,7 @@ func TestConcurrentSealPendingChurn(t *testing.T) {
 // GC would collect it; our registry must drop it explicitly).
 func TestSealedChainCascadeUnregister(t *testing.T) {
 	d := New(Config{NodeSize: 6, MaxThreads: 4})
-	nd1, _ := d.left.get()
+	nd1, _ := d.hint[obs.SideLeft].get()
 	// nd1: datum at slot 1, RN elsewhere.
 	nd1.slots[1].Store(word.Pack(77, 1))
 	for i := 2; i < 5; i++ {
@@ -330,7 +330,7 @@ func TestSealedChainCascadeUnregister(t *testing.T) {
 // sealed chains: nd1(active) → S2(RS) → S1(RS).
 func TestSealedChainCascadeUnregisterRight(t *testing.T) {
 	d := New(Config{NodeSize: 6, MaxThreads: 4})
-	nd1, _ := d.left.get()
+	nd1, _ := d.hint[obs.SideLeft].get()
 	nd1.slots[4].Store(word.Pack(77, 1))
 	for i := 1; i < 4; i++ {
 		nd1.slots[i].Store(word.Pack(word.LN, 1))

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/xrand"
 )
 
@@ -42,8 +43,8 @@ func runStress(t *testing.T, sc stressConfig) []*Handle {
 		select {
 		case <-watchdogDone:
 		case <-time.After(5 * time.Minute):
-			lw, _ := d.left.get()
-			rw, _ := d.right.get()
+			lw, _ := d.hint[obs.SideLeft].get()
+			rw, _ := d.hint[obs.SideRight].get()
 			t.Logf("WATCHDOG: stress wedged; left hint node %d, right hint node %d\n%s",
 				lw.id, rw.id, d.Dump())
 		}

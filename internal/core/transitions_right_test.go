@@ -9,15 +9,17 @@ import (
 
 // Right-side mirrors of the whitebox transition tests. The mirror mapping
 // is 1 ↔ sz-2, LN ↔ RN, LS ↔ RS; the states below are the reflections of
-// the left-side cases.
+// the left-side cases. The transitions take logical indices of their side:
+// on the right, index j is physical slot sz-1-j, so with sz = 6 the index 2
+// names slot 3 and the index 1 names slot 4.
 
 func TestRValidationRejectsRNInSlot(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, 5, word.RN, word.RN}, word.RN)
 	h := d.Register()
-	if d.pushRightTransitions(h, 9, nd, 3, d.right.w.Load()) {
+	if d.pushTransitions(h, obs.SideRight, 9, nd, 2, d.hint[obs.SideRight].w.Load()) {
 		t.Fatal("push accepted an RN in-slot")
 	}
-	if _, _, done := d.popRightTransitions(h, nd, 3, d.right.w.Load()); done {
+	if _, _, done := d.popTransitions(h, obs.SideRight, nd, 2, d.hint[obs.SideRight].w.Load()); done {
 		t.Fatal("pop accepted an RN in-slot")
 	}
 }
@@ -27,10 +29,10 @@ func TestRLSInSlotReportsEmptyNeverPops(t *testing.T) {
 	// boundary reports EMPTY; a push retries.
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, word.LN, word.LN, word.LS}, word.RN)
 	h := d.Register()
-	if d.pushRightTransitions(h, 9, nd, 4, d.right.w.Load()) {
+	if d.pushTransitions(h, obs.SideRight, 9, nd, 1, d.hint[obs.SideRight].w.Load()) {
 		t.Fatal("push claimed success on an LS boundary with no neighbor")
 	}
-	v, empty, done := d.popRightTransitions(h, nd, 4, d.right.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideRight, nd, 1, d.hint[obs.SideRight].w.Load())
 	if !done || !empty || v != 0 {
 		t.Fatalf("pop on LS boundary = (%d,empty=%v,done=%v), want EMPTY", v, empty, done)
 	}
@@ -42,13 +44,13 @@ func TestRLSInSlotReportsEmptyNeverPops(t *testing.T) {
 func TestRInteriorPushPop(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, 7, 8, word.RN}, word.RN)
 	h := d.Register()
-	if !d.pushRightTransitions(h, 9, nd, 3, d.right.w.Load()) {
+	if !d.pushTransitions(h, obs.SideRight, 9, nd, 2, d.hint[obs.SideRight].w.Load()) {
 		t.Fatal("valid interior push failed")
 	}
 	if got := word.Val(nd.slots[4].Load()); got != 9 {
 		t.Fatalf("slot 4 = %s, want 9", word.Name(got))
 	}
-	v, empty, done := d.popRightTransitions(h, nd, 4, d.right.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideRight, nd, 1, d.hint[obs.SideRight].w.Load())
 	if !done || empty || v != 9 {
 		t.Fatalf("pop = (%d,%v,%v), want (9,false,true)", v, empty, done)
 	}
@@ -60,14 +62,14 @@ func TestRInteriorPushPop(t *testing.T) {
 func TestRBoundaryPopAndE3(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, word.LN, word.LN, 9}, word.RN)
 	h := d.Register()
-	v, empty, done := d.popRightTransitions(h, nd, 4, d.right.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideRight, nd, 1, d.hint[obs.SideRight].w.Load())
 	if !done || empty || v != 9 {
 		t.Fatalf("boundary pop = (%d,%v,%v), want (9,false,true)", v, empty, done)
 	}
 	// Now empty: the oracle lands on the rightmost LN (interior) and the
 	// pop reports EMPTY via the appropriate snapshot check.
-	edge, idx, hw := d.rOracle(nil, new(obs.Rec))
-	_, empty, done = d.popRightTransitions(h, edge, idx, hw)
+	edge, idx, hw := d.oracle(nil, obs.SideRight, new(obs.Rec))
+	_, empty, done = d.popTransitions(h, obs.SideRight, edge, idx, hw)
 	if !done || !empty {
 		t.Fatalf("empty check = (empty=%v,done=%v) at idx %d, want (true,true)", empty, done, idx)
 	}
@@ -76,7 +78,7 @@ func TestRBoundaryPopAndE3(t *testing.T) {
 func TestRAppend(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, word.LN, word.LN, 9}, word.RN)
 	h := d.Register()
-	if !d.pushRightTransitions(h, 4, nd, 4, d.right.w.Load()) {
+	if !d.pushTransitions(h, obs.SideRight, 4, nd, 1, d.hint[obs.SideRight].w.Load()) {
 		t.Fatal("append failed")
 	}
 	rv := word.Val(nd.slots[5].Load())
@@ -128,7 +130,7 @@ func straddleR(t *testing.T, farVal uint32) (*Deque, *node, *node) {
 func TestRStraddlingPush(t *testing.T) {
 	d, left, right := straddleR(t, word.RN)
 	h := d.Register()
-	if !d.pushRightTransitions(h, 55, left, 4, d.right.w.Load()) {
+	if !d.pushTransitions(h, obs.SideRight, 55, left, 1, d.hint[obs.SideRight].w.Load()) {
 		t.Fatal("straddling push failed")
 	}
 	if got := word.Val(right.slots[1].Load()); got != 55 {
@@ -142,7 +144,7 @@ func TestRStraddlingPush(t *testing.T) {
 func TestRSealRemoveBoundaryPop(t *testing.T) {
 	d, left, right := straddleR(t, word.RN)
 	h := d.Register()
-	v, empty, done := d.popRightTransitions(h, left, 4, d.right.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideRight, left, 1, d.hint[obs.SideRight].w.Load())
 	if !done || empty || v != 77 {
 		t.Fatalf("progression = (%d,%v,%v), want (77,false,true)", v, empty, done)
 	}
@@ -167,7 +169,7 @@ func TestRStraddlingEmptyCheck(t *testing.T) {
 	d, left, right := straddleR(t, word.RN)
 	left.slots[4].Store(word.Pack(word.LN, 0)) // edge node empty
 	h := d.Register()
-	v, empty, done := d.popRightTransitions(h, left, 4, d.right.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideRight, left, 1, d.hint[obs.SideRight].w.Load())
 	if !done || !empty || v != 0 {
 		t.Fatalf("E2 = (%d,%v,%v), want (0,true,true)", v, empty, done)
 	}

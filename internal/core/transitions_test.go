@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -19,7 +20,7 @@ func mk(t *testing.T, sz int, lb uint32, vals []uint32, rb uint32) (*Deque, *nod
 		t.Fatalf("need %d data values, got %d", sz-2, len(vals))
 	}
 	d := New(Config{NodeSize: sz, MaxThreads: 4})
-	nd, _ := d.left.get()
+	nd, _ := d.hint[obs.SideLeft].get()
 	nd.slots[0].Store(word.Pack(lb, 0))
 	for i, v := range vals {
 		nd.slots[1+i].Store(word.Pack(v, 0))
@@ -33,10 +34,10 @@ func TestValidationRejectsLNInSlot(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, word.LN, 5, word.RN}, word.RN)
 	h := d.Register()
 	// Claim the edge is at index 2 (which holds LN).
-	if d.pushLeftTransitions(h, 9, nd, 2, d.left.w.Load()) {
+	if d.pushTransitions(h, obs.SideLeft, 9, nd, 2, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("push accepted an LN in-slot")
 	}
-	if _, _, done := d.popLeftTransitions(h, nd, 2, d.left.w.Load()); done {
+	if _, _, done := d.popTransitions(h, obs.SideLeft, nd, 2, d.hint[obs.SideLeft].w.Load()); done {
 		t.Fatal("pop accepted an LN in-slot")
 	}
 }
@@ -48,10 +49,10 @@ func TestRSInSlotReportsEmptyNeverPops(t *testing.T) {
 	// node has no left neighbor — stale, retry).
 	d, nd := mk(t, 6, word.LN, []uint32{word.RS, word.RN, word.RN, word.RN}, word.RN)
 	h := d.Register()
-	if d.pushLeftTransitions(h, 9, nd, 1, d.left.w.Load()) {
+	if d.pushTransitions(h, obs.SideLeft, 9, nd, 1, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("push claimed success on an RS boundary with no neighbor")
 	}
-	v, empty, done := d.popLeftTransitions(h, nd, 1, d.left.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideLeft, nd, 1, d.hint[obs.SideLeft].w.Load())
 	if !done || !empty || v != 0 {
 		t.Fatalf("pop on RS boundary = (%d,empty=%v,done=%v), want EMPTY", v, empty, done)
 	}
@@ -65,10 +66,10 @@ func TestValidationRejectsNonLNOut(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{7, 8, word.RN, word.RN}, word.RN)
 	h := d.Register()
 	// Claim edge at index 2 (datum 8) — its out (index 1) holds datum 7.
-	if d.pushLeftTransitions(h, 9, nd, 2, d.left.w.Load()) {
+	if d.pushTransitions(h, obs.SideLeft, 9, nd, 2, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("push accepted a non-LN out-slot")
 	}
-	if _, _, done := d.popLeftTransitions(h, nd, 2, d.left.w.Load()); done {
+	if _, _, done := d.popTransitions(h, obs.SideLeft, nd, 2, d.hint[obs.SideLeft].w.Load()); done {
 		t.Fatal("pop accepted a non-LN out-slot")
 	}
 }
@@ -78,7 +79,7 @@ func TestValidationBorderRequiresRN(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, word.LN, word.LN, word.LN}, word.RN)
 	nd.slots[5].Store(word.Pack(12345, 0)) // a link ID, not RN
 	h := d.Register()
-	if d.pushLeftTransitions(h, 9, nd, 5, d.left.w.Load()) {
+	if d.pushTransitions(h, obs.SideLeft, 9, nd, 5, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("push accepted a link in-slot at the border")
 	}
 }
@@ -86,7 +87,7 @@ func TestValidationBorderRequiresRN(t *testing.T) {
 func TestInteriorPushSucceeds(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, 7, 8, word.RN}, word.RN)
 	h := d.Register()
-	if !d.pushLeftTransitions(h, 6, nd, 2, d.left.w.Load()) {
+	if !d.pushTransitions(h, obs.SideLeft, 6, nd, 2, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("valid interior push failed")
 	}
 	if got := word.Val(nd.slots[1].Load()); got != 6 {
@@ -101,7 +102,7 @@ func TestInteriorPushOntoEmptyNode(t *testing.T) {
 	// in may be RN (empty span): push writes into out.
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, word.LN, word.RN, word.RN}, word.RN)
 	h := d.Register()
-	if !d.pushLeftTransitions(h, 42, nd, 3, d.left.w.Load()) {
+	if !d.pushTransitions(h, obs.SideLeft, 42, nd, 3, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("push onto empty span failed")
 	}
 	if got := word.Val(nd.slots[2].Load()); got != 42 {
@@ -112,7 +113,7 @@ func TestInteriorPushOntoEmptyNode(t *testing.T) {
 func TestInteriorPopSucceedsAndClearsToLN(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, 7, 8, word.RN}, word.RN)
 	h := d.Register()
-	v, empty, done := d.popLeftTransitions(h, nd, 2, d.left.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideLeft, nd, 2, d.hint[obs.SideLeft].w.Load())
 	if !done || empty || v != 7 {
 		t.Fatalf("pop = (%d, empty=%v, done=%v), want (7,false,true)", v, empty, done)
 	}
@@ -124,7 +125,7 @@ func TestInteriorPopSucceedsAndClearsToLN(t *testing.T) {
 func TestEmptyCheckE1(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.LN, word.LN, word.RN, word.RN}, word.RN)
 	h := d.Register()
-	v, empty, done := d.popLeftTransitions(h, nd, 3, d.left.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideLeft, nd, 3, d.hint[obs.SideLeft].w.Load())
 	if !done || !empty || v != 0 {
 		t.Fatalf("E1 = (%d, empty=%v, done=%v), want (0,true,true)", v, empty, done)
 	}
@@ -138,7 +139,7 @@ func TestBoundaryPop(t *testing.T) {
 	// Single datum at slot 1 with LN border: boundary pop (L4).
 	d, nd := mk(t, 6, word.LN, []uint32{9, word.RN, word.RN, word.RN}, word.RN)
 	h := d.Register()
-	v, empty, done := d.popLeftTransitions(h, nd, 1, d.left.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideLeft, nd, 1, d.hint[obs.SideLeft].w.Load())
 	if !done || empty || v != 9 {
 		t.Fatalf("boundary pop = (%d,%v,%v), want (9,false,true)", v, empty, done)
 	}
@@ -150,7 +151,7 @@ func TestBoundaryPop(t *testing.T) {
 func TestBoundaryEmptyCheckE3(t *testing.T) {
 	d, nd := mk(t, 6, word.LN, []uint32{word.RN, word.RN, word.RN, word.RN}, word.RN)
 	h := d.Register()
-	_, empty, done := d.popLeftTransitions(h, nd, 1, d.left.w.Load())
+	_, empty, done := d.popTransitions(h, obs.SideLeft, nd, 1, d.hint[obs.SideLeft].w.Load())
 	if !done || !empty {
 		t.Fatalf("E3 = (empty=%v, done=%v), want (true,true)", empty, done)
 	}
@@ -160,7 +161,7 @@ func TestAppendCreatesLinkedNode(t *testing.T) {
 	// Datum at slot 1, LN border: a push at the boundary appends (L6).
 	d, nd := mk(t, 6, word.LN, []uint32{9, word.RN, word.RN, word.RN}, word.RN)
 	h := d.Register()
-	if !d.pushLeftTransitions(h, 4, nd, 1, d.left.w.Load()) {
+	if !d.pushTransitions(h, obs.SideLeft, 4, nd, 1, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("append failed")
 	}
 	lv := word.Val(nd.slots[0].Load())
@@ -222,7 +223,7 @@ func straddle(t *testing.T, farVal uint32) (*Deque, *node, *node) {
 func TestStraddlingPushL3(t *testing.T) {
 	d, left, right := straddle(t, word.LN)
 	h := d.Register()
-	if !d.pushLeftTransitions(h, 55, right, 1, d.left.w.Load()) {
+	if !d.pushTransitions(h, obs.SideLeft, 55, right, 1, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("straddling push failed")
 	}
 	if got := word.Val(left.slots[4].Load()); got != 55 {
@@ -237,7 +238,7 @@ func TestSealThenRemoveThenBoundaryPop(t *testing.T) {
 	// The full straddling pop progression (L5 → L7 → L4) in one attempt.
 	d, left, right := straddle(t, word.LN)
 	h := d.Register()
-	v, empty, done := d.popLeftTransitions(h, right, 1, d.left.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideLeft, right, 1, d.hint[obs.SideLeft].w.Load())
 	if !done || empty || v != 77 {
 		t.Fatalf("progression = (%d,%v,%v), want (77,false,true)", v, empty, done)
 	}
@@ -268,7 +269,7 @@ func TestRemovePreSealedNeighbor(t *testing.T) {
 	// remove the neighbor and still complete via boundary pop.
 	d, left, right := straddle(t, word.LS)
 	h := d.Register()
-	v, empty, done := d.popLeftTransitions(h, right, 1, d.left.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideLeft, right, 1, d.hint[obs.SideLeft].w.Load())
 	if !done || empty || v != 77 {
 		t.Fatalf("pop = (%d,%v,%v), want (77,false,true)", v, empty, done)
 	}
@@ -282,7 +283,7 @@ func TestPushRemovesSealedNeighbor(t *testing.T) {
 	// single attempt reports false but must have done the removal.
 	d, left, right := straddle(t, word.LS)
 	h := d.Register()
-	if d.pushLeftTransitions(h, 5, right, 1, d.left.w.Load()) {
+	if d.pushTransitions(h, obs.SideLeft, 5, right, 1, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("push reported success while only removing")
 	}
 	if h.Removes != 1 {
@@ -306,7 +307,7 @@ func TestStraddlingEmptyCheckE2(t *testing.T) {
 	d, left, right := straddle(t, word.LN)
 	right.slots[1].Store(word.Pack(word.RN, 0)) // edge node now empty
 	h := d.Register()
-	v, empty, done := d.popLeftTransitions(h, right, 1, d.left.w.Load())
+	v, empty, done := d.popTransitions(h, obs.SideLeft, right, 1, d.hint[obs.SideLeft].w.Load())
 	if !done || !empty || v != 0 {
 		t.Fatalf("E2 = (%d,%v,%v), want (0,true,true)", v, empty, done)
 	}
@@ -321,10 +322,10 @@ func TestBackCheckRejectsWrongNeighbor(t *testing.T) {
 	d, left, right := straddle(t, word.LN)
 	left.slots[5].Store(word.Pack(left.id, 0)) // break the back-link
 	h := d.Register()
-	if d.pushLeftTransitions(h, 5, right, 1, d.left.w.Load()) {
+	if d.pushTransitions(h, obs.SideLeft, 5, right, 1, d.hint[obs.SideLeft].w.Load()) {
 		t.Fatal("push accepted a neighbor that does not point back")
 	}
-	if _, _, done := d.popLeftTransitions(h, right, 1, d.left.w.Load()); done {
+	if _, _, done := d.popTransitions(h, obs.SideLeft, right, 1, d.hint[obs.SideLeft].w.Load()); done {
 		t.Fatal("pop accepted a neighbor that does not point back")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -28,14 +29,14 @@ func TestChaosOracleWedgePanics(t *testing.T) {
 				var nd0, nd1 *node
 				d, nd0, nd1 = pendingRightSeal(t)
 				nd0.slots[d.sz-1].Store(word.Pack(word.RN, 2))
-				d.left.set(d.left.w.Load(), nd1)
+				d.hint[obs.SideLeft].set(d.hint[obs.SideLeft].w.Load(), nd1)
 				pop = d.PopLeft
 			} else {
 				// A left pop sealed nd0 (LS) and unlinked it from nd1.
 				var nd0, nd1 *node
 				d, nd0, nd1 = pendingLeftSeal(t)
 				nd1.slots[0].Store(word.Pack(word.LN, 2))
-				d.right.set(d.right.w.Load(), nd0)
+				d.hint[obs.SideRight].set(d.hint[obs.SideRight].w.Load(), nd0)
 				pop = d.PopRight
 			}
 			h := d.Register()

@@ -1,6 +1,6 @@
 // chain.go extends the model checker from the single-array HLM protocol to
 // the unbounded deque's linking transitions: a fixed two-node chain whose
-// operations follow internal/core's left.go/right.go control flow —
+// operations follow internal/core/left.go's control flow on either side —
 // interior pushes/pops (L1/L2), straddling pushes (L3), boundary pops (L4),
 // sealing (L5), removal (L7), and the empty checks (E1–E3) — under a
 // demonic oracle that may claim the edge is at any (node, index), including
@@ -75,7 +75,7 @@ func (s chainState) key() string {
 }
 
 // chain program counters. The straddling pop progression threads through
-// seal and remove phases within one attempt, mirroring popLeftTransitions.
+// seal and remove phases within one attempt, mirroring core's popTransitions.
 const (
 	cpcChoose uint8 = iota
 	cpcLoadIn

@@ -7,7 +7,8 @@ import (
 )
 
 // dir captures one side's orientation so the chain step machines are
-// written once; dirLeft matches internal/core/left.go, dirRight right.go.
+// written once, as internal/core/left.go writes the transitions once for
+// both sides; dirLeft and dirRight match its two sideCoords.
 type dir struct {
 	outDelta  int    // out = idx + outDelta
 	lo, hi    int    // demonic oracle index range

@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"strconv"
 	"sync"
+
+	"repro/internal/xrand"
 )
 
 // In-process latency histograms: one log-bucketed geometry (~1.6%
@@ -71,6 +73,28 @@ func (c LatClass) String() string {
 // DefaultLatSample is the single-op sampling interval used when the
 // configuration passes 0: record 1 in DefaultLatSample operations.
 const DefaultLatSample = 1024
+
+// LatGap draws the spacing between one handle's latency samples. A fixed
+// countdown samples every rate-th op, so a handle whose ops repeat with a
+// period dividing rate (push, pop, push, pop, ...) only ever samples one
+// phase of its cycle. Drawing each gap uniformly from [rate-rate/2,
+// rate+rate/2] keeps the mean interval at rate and reaches every phase.
+// Every sampling layer (the core's ops, the pool's ops, the server's
+// requests) keeps its own countdown and rearms it with Next, once per
+// sample, so the draw stays off the unsampled path.
+type LatGap struct{ rng xrand.SplitMix64 }
+
+// NewLatGap returns a LatGap seeded with seed; give each handle its own.
+func NewLatGap(seed uint64) LatGap { return LatGap{rng: *xrand.NewSplitMix64(seed)} }
+
+// Next returns how many ops the countdown should run until the next
+// sample, the sampled op included: uniform on [rate-rate/2, rate+rate/2],
+// so 1 at rate 1. rate must be positive.
+func (g *LatGap) Next(rate uint32) uint64 {
+	half := uint64(rate / 2)
+	span := 2*half + 1
+	return uint64(rate) - half + (g.rng.Next()>>32)*span>>32
+}
 
 // LatClassOf maps a single-op identity to its latency class, relying on
 // the enum order pairing each left class with its right neighbor.

@@ -228,3 +228,29 @@ func TestWriteLatProm(t *testing.T) {
 		t.Error("prom output includes an empty class")
 	}
 }
+
+// TestLatGapRange checks the sampler's gap draw: always 1 at rate 1, and
+// otherwise within [rate-rate/2, rate+rate/2] with a mean of rate.
+func TestLatGapRange(t *testing.T) {
+	g := NewLatGap(1)
+	for i := 0; i < 100; i++ {
+		if n := g.Next(1); n != 1 {
+			t.Fatalf("Next(1) = %d, want 1", n)
+		}
+	}
+	for _, rate := range []uint32{2, 3, 4, DefaultLatSample} {
+		lo, hi := uint64(rate-rate/2), uint64(rate+rate/2)
+		const draws = 1 << 16
+		var sum uint64
+		for i := 0; i < draws; i++ {
+			n := g.Next(rate)
+			if n < lo || n > hi {
+				t.Fatalf("Next(%d) = %d, want [%d, %d]", rate, n, lo, hi)
+			}
+			sum += n
+		}
+		if mean := float64(sum) / draws; mean < 0.98*float64(rate) || mean > 1.02*float64(rate) {
+			t.Errorf("Next(%d) mean = %.2f, want %d", rate, mean, rate)
+		}
+	}
+}

@@ -59,7 +59,8 @@ type Server[H any] struct {
 type handle[H any] struct {
 	h    H
 	lat  *obs.LatRec // single-writer service-time histogram
-	tick uint32      // requests since the last sampled one
+	tick uint64      // requests left until the next sampled one
+	gap  obs.LatGap  // rearms tick
 }
 
 // New returns a server that admits at most maxConns concurrent
@@ -157,8 +158,12 @@ func (s *Server[H]) acquireHandle() (*handle[H], error) {
 	s.hmu.Lock()
 	if s.registered < s.maxConns {
 		s.registered++
+		seed := uint64(s.registered)*0x9e3779b97f4a7c15 + 3
 		s.hmu.Unlock()
-		return &handle[H]{h: s.register(), lat: s.latReg.NewRec()}, nil
+		h := &handle[H]{h: s.register(), lat: s.latReg.NewRec()}
+		h.gap = obs.NewLatGap(seed)
+		h.tick = h.gap.Next(obs.DefaultLatSample)
+		return h, nil
 	}
 	s.hmu.Unlock()
 	select {
@@ -178,7 +183,7 @@ func (s *Server[H]) acquireHandle() (*handle[H], error) {
 // queued.
 //
 // Service time is sampled like the pool's single ops, one request in
-// obs.DefaultLatSample per handle: two clock reads cost about half of a
+// obs.DefaultLatSample per handle on average (obs.LatGap): two clock reads cost about half of a
 // whole request's server time, far over the observability budget.
 func (s *Server[H]) serveConn(conn net.Conn) {
 	defer conn.Close()
@@ -206,8 +211,8 @@ func (s *Server[H]) serveConn(conn net.Conn) {
 		}
 		var svc time.Time
 		if obs.Enabled {
-			if h.tick++; h.tick >= obs.DefaultLatSample {
-				h.tick = 0
+			if h.tick--; h.tick == 0 {
+				h.tick = h.gap.Next(obs.DefaultLatSample)
 				svc = time.Now()
 			}
 		}

@@ -277,6 +277,8 @@ func (p *Pool[T]) Register() *PoolHandle[T] {
 	}
 	h.bo.Init(backoff.DefaultMinSpins, backoff.DefaultMaxSpins,
 		uint64(start)*0x9e3779b97f4a7c15+1)
+	h.latGap = obs.NewLatGap(uint64(start)*0x9e3779b97f4a7c15 + 2)
+	h.latTick = h.latGap.Next(obs.DefaultLatSample)
 	for i, d := range p.shards {
 		h.hs[i] = d.Register()
 	}
@@ -295,7 +297,8 @@ type PoolHandle[T any] struct {
 	bo     backoff.Backoff // jittered wait between uncertified sweeps
 
 	lat     *obs.LatRec // pool-level latency histograms (pool_op, steal_sweep)
-	latTick uint32      // countdown for pool_op sampling
+	latTick uint64      // countdown to the next sampled pool_op
+	latGap  obs.LatGap  // rearms latTick
 
 	// resweeps counts certify sweeps that ended blocked or contended and
 	// were retried after a backoff wait — steals here, and the Relaxed and
@@ -321,16 +324,15 @@ func (h *PoolHandle[T]) Home(key uint64) int { return h.router.Push(key, h.load)
 // note records a successful push (+n) or pop (-n) on shard i.
 func (h *PoolHandle[T]) note(i int, n int64) { h.p.loads[i].n.Add(n) }
 
-// latStart opens a sampled pool_op measurement: every DefaultLatSample-th
-// pool operation per handle is timed end to end — routing, the shard op,
-// and any steal fallback. Zero time means not sampled.
+// latStart opens a sampled pool_op measurement: one pool operation in
+// DefaultLatSample per handle, on average, is timed end to end — routing,
+// the shard op, and any steal fallback. Zero time means not sampled.
 func (h *PoolHandle[T]) latStart() (t time.Time) {
 	if !obs.Enabled {
 		return
 	}
-	h.latTick++
-	if h.latTick >= obs.DefaultLatSample {
-		h.latTick = 0
+	if h.latTick--; h.latTick == 0 {
+		h.latTick = h.latGap.Next(obs.DefaultLatSample)
 		t = time.Now()
 	}
 	return

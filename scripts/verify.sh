@@ -15,12 +15,16 @@ go vet ./...
 
 # The core's single-op sampler costs an unsampled op one decrement and one
 # never-taken branch only while opStart and opEnd inline into every push and
-# pop (internal/core/metrics.go); fail when the compiler stops inlining them.
-echo "== inline gate (core opStart/opEnd) =="
+# pop (internal/core/metrics.go), and the one set of transitions, oracle walk
+# and batch runs reaches each slot of either side through sideCoords.at
+# (internal/core/left.go) at the cost of an index transform only while it
+# inlines; fail when the compiler stops inlining any of them.
+echo "== inline gate (core opStart/opEnd, sideCoords.at) =="
 inlined=$(go build -gcflags=-m ./internal/core 2>&1)
-for fn in opStart opEnd; do
-    if ! printf '%s\n' "$inlined" | grep -q "can inline (\*Deque)\.$fn\$"; then
-        echo "inline gate: (*Deque).$fn no longer inlines" >&2
+for fn in Deque.opStart Deque.opEnd sideCoords.at; do
+    recv=${fn%%.*} name=${fn#*.}
+    if ! printf '%s\n' "$inlined" | grep -q "can inline (\*$recv)\.$name\$"; then
+        echo "inline gate: (*$recv).$name no longer inlines" >&2
         exit 1
     fi
 done
